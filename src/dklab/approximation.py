@@ -55,17 +55,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BlowUpError, RegimeError
-from .dnls_models import (
-    DnlsModel,
-    GeneralizedDnls,
-    NormalFormDnls,
-    StandardDnls,
-    rhs,
-    second_derivative,
-)
-from .integrators import _advance_verlet, _dkg_force, _rk4_step
-from .lattice_core import l2_norm
+from .errors import RegimeError
+from .dnls_models import DnlsModel, GeneralizedDnls, StandardDnls, rhs, second_derivative
+from .integrators import _advance_verlet, _check_sane, _dkg_force, _rk4_step
+from .lattice_core import l2_norm, neighbor_sum
 
 __all__ = [
     "AnsatzSample",
@@ -156,12 +149,8 @@ def _check_residual_model(model: DnlsModel, epsilon: float, rho: float) -> None:
             )
         if abs(model.epsilon - epsilon) > 1e-12:
             raise ValueError("model epsilon differs from the chain coupling")
-    elif isinstance(model, NormalFormDnls):
-        raise TypeError(
-            "residuals are defined for the slow-clock envelope models only"
-        )
     else:
-        raise TypeError(f"unknown envelope model {model!r}")
+        raise TypeError("residuals are defined for the slow-clock envelope models only")
 
 
 def residual_direct(
@@ -175,7 +164,7 @@ def residual_direct(
     addot = second_derivative(a, model)
     x = leading_order(a, adot, rho, epsilon, t).X
     xdd = _ansatz_acceleration(a, adot, addot, rho, epsilon, t)
-    return xdd + x + rho * x**3 - epsilon * (np.roll(x, -1) + np.roll(x, 1))
+    return xdd + x + rho * x**3 - epsilon * neighbor_sum(x)
 
 
 def residual_expanded(
@@ -365,6 +354,12 @@ class JustificationConfig:
                 raise RegimeError("A must be positive")
         if self.tau0 <= 0.0:
             raise RegimeError("tau0 must be positive")
+        if not (0.0 < self.dt <= 0.1):
+            raise RegimeError(f"dt={self.dt} must lie in (0, 0.1]")
+        if self.sample_stride < 1:
+            raise RegimeError(f"sample stride {self.sample_stride} must be >= 1")
+        if not self.envelope_substep > 0.0:
+            raise RegimeError(f"envelope_substep={self.envelope_substep} must be > 0")
         if self.regime == "standard":
             lo = eps**2 if self.horizon == "T0" else eps ** (2.0 / (1.0 + self.alpha))
             hi = eps
@@ -450,7 +445,8 @@ def run_justification(config: JustificationConfig) -> JustificationReport:
     The chain advances with velocity Verlet on the fast clock; between
     samples the envelope advances by exactly eps * (elapsed fast time) in
     RK4 substeps no longer than ``envelope_substep``, so the two clocks stay
-    commensurate and the ansatz never needs interpolation.
+    commensurate and the ansatz never needs interpolation.  Chain and
+    envelope share the ``BLOWUP_LIMIT`` guard of :func:`integrate`.
     """
     config.validate()
     eps, rho, dt = config.epsilon, config.rho, config.dt
@@ -513,8 +509,7 @@ def run_justification(config: JustificationConfig) -> JustificationReport:
             a = _rk4_step(a, fun, h)
         done += k
         t = done * dt
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
-            raise BlowUpError("chain blew up during justification run", times[-1])
+        _check_sane((x, y, a), times[-1])
         err, q = sample(t)
         times.append(t)
         errors.append(err)

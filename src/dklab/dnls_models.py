@@ -1,18 +1,22 @@
 """Envelope equations of discrete nonlinear Schrodinger type.
 
-Three right-hand sides drive the complex envelope of the unit-frequency
-carrier on the chain:
+Three models drive the complex envelope of the unit-frequency carrier on
+the chain.  All three are one periodic stencil,
 
-* standard (slow time tau):      2i a' + 3 nu |a|^2 a = a_+ + a_-
-* generalized (slow time tau):   2i a' + 3 eps delta |a|^2 a
-                                     = a_+ + a_- + eps/4 (a_++ + 2a + a_--)
-* normal-form (fast time t):     i psi' = Omega psi + b1 (psi_+ + psi_-)
-                                     [+ b2 (psi_++ + psi_--)] + 3/4 |psi|^2 psi
+    a' = -i [c0 a + c1 (a_+ + a_-) + c2 (a_++ + a_--) + g |a|^2 a],
 
-where a_+- are nearest and a_++/-- next-nearest periodic neighbours.  The
-slow-clock models arise from the two-harmonic multiscale reduction with
-nu = rho/eps resp. delta = rho/eps^2; the fast-clock model is the flow of
-the truncated resonant normal form (see :mod:`dklab.normal_form`).
+with a_+- the nearest and a_++/-- the next-nearest periodic neighbours;
+each model class carries its ``coefficients`` (c0, c1, c2, g):
+
+    model                c0      c1    c2         g
+    standard (tau)       0       1/2   0          -3 nu/2
+    generalized (tau)    eps/4   1/2   eps/8      -3 eps delta/2
+    normal form (t)      Omega   b1    b2 or 0    3/4
+
+The slow-clock (tau = eps t) models arise from the two-harmonic multiscale
+reduction with nu = rho/eps resp. delta = rho/eps^2; the fast-clock model
+is the flow of the truncated resonant normal form (see
+:mod:`dklab.normal_form`).
 
 Every right-hand side conserves the squared l2 norm of the envelope, is
 equivariant under cyclic shifts, and is invariant under global phase
@@ -28,7 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from .lattice_core import l2_norm
+from .lattice_core import l2_norm, neighbor_sum
 
 __all__ = [
     "EnvelopeState",
@@ -145,10 +149,15 @@ class StandardDnls:
                 stacklevel=2,
             )
 
+    @property
+    def coefficients(self) -> tuple[float, float, float, float]:
+        return 0.0, 0.5, 0.0, -1.5 * self.nu
+
 
 @dataclass(frozen=True)
 class GeneralizedDnls:
-    """Next-nearest-neighbour extension with cubic coefficient eps*delta."""
+    """2i a' + 3 eps delta |a|^2 a = a_+ + a_- + eps/4 (a_++ + 2a + a_--)
+    on the slow clock."""
 
     delta: float
     epsilon: float
@@ -165,6 +174,11 @@ class GeneralizedDnls:
                 "the generalized envelope reduction; run proceeds",
                 stacklevel=2,
             )
+
+    @property
+    def coefficients(self) -> tuple[float, float, float, float]:
+        eps = self.epsilon
+        return 0.25 * eps, 0.5, 0.125 * eps, -1.5 * eps * self.delta
 
 
 @dataclass(frozen=True)
@@ -188,6 +202,10 @@ class NormalFormDnls:
             raise ValueError(f"b1={self.b1} must be <= 0")
         if self.b2 is not None and not (np.isfinite(self.b2) and self.b2 <= 0.0):
             raise ValueError(f"b2={self.b2} must be <= 0 when present")
+
+    @property
+    def coefficients(self) -> tuple[float, float, float, float]:
+        return self.Omega, self.b1, 0.0 if self.b2 is None else self.b2, 0.75
 
 
 DnlsModel = Union[StandardDnls, GeneralizedDnls, NormalFormDnls]
@@ -217,81 +235,56 @@ def warn_outside_asymptotic_range(model: DnlsModel, epsilon: float) -> None:
 # -- right-hand sides --------------------------------------------------------
 
 
+def _flow(coefficients, v: np.ndarray, cubic: np.ndarray) -> np.ndarray:
+    """-i [c0 v + c1 (v_+ + v_-) + c2 (v_++ + v_--) + cubic]; the c0 and c2
+    terms are skipped when their coefficient is zero."""
+    c0, c1, c2, _ = coefficients
+    grad = c1 * neighbor_sum(v)
+    if c0:
+        grad += c0 * v
+    if c2:
+        grad += c2 * neighbor_sum(v, 2)
+    grad += cubic
+    return -1j * grad
+
+
+def rhs(model: DnlsModel, a: np.ndarray) -> np.ndarray:
+    """a' = -i [c0 a + c1 (a_+ + a_-) + c2 (a_++ + a_--) + g |a|^2 a] with
+    the model's coefficients."""
+    coefficients = model.coefficients
+    return _flow(coefficients, a, coefficients[3] * np.abs(a) ** 2 * a)
+
+
 def rhs_standard(a: np.ndarray, nu: float) -> np.ndarray:
     """a' = -(i/2) (a_+ + a_- - 3 nu |a|^2 a)."""
-    return -0.5j * (np.roll(a, -1) + np.roll(a, 1) - 3.0 * nu * np.abs(a) ** 2 * a)
+    return rhs(StandardDnls(nu), a)
 
 
 def rhs_generalized(a: np.ndarray, delta: float, epsilon: float) -> np.ndarray:
     """a' = -(i/2) [a_+ + a_- + eps/4 (a_++ + 2a + a_--) - 3 eps delta |a|^2 a]."""
-    lin2 = np.roll(a, -2) + 2.0 * a + np.roll(a, 2)
-    return -0.5j * (
-        np.roll(a, -1)
-        + np.roll(a, 1)
-        + 0.25 * epsilon * lin2
-        - 3.0 * epsilon * delta * np.abs(a) ** 2 * a
-    )
+    return rhs(GeneralizedDnls(delta, epsilon), a)
 
 
 def rhs_normalform(
     psi: np.ndarray, Omega: float, b1: float, b2: float | None = None
 ) -> np.ndarray:
-    """psi' = -i [Omega psi + b1 (psi_+ + psi_-) + b2 (psi_++ + psi_--)
-    + 3/4 |psi|^2 psi]; the b2 term is omitted when b2 is None.
-
-    This is minus i times the gradient of the truncated normal-form energy
-    with respect to conj(psi).
-    """
-    grad = Omega * psi + b1 * (np.roll(psi, -1) + np.roll(psi, 1))
-    if b2 is not None:
-        grad = grad + b2 * (np.roll(psi, -2) + np.roll(psi, 2))
-    grad = grad + 0.75 * np.abs(psi) ** 2 * psi
-    return -1j * grad
-
-
-def rhs(model: DnlsModel, a: np.ndarray) -> np.ndarray:
-    """Dispatch to the model's right-hand side."""
-    if isinstance(model, StandardDnls):
-        return rhs_standard(a, model.nu)
-    if isinstance(model, GeneralizedDnls):
-        return rhs_generalized(a, model.delta, model.epsilon)
-    if isinstance(model, NormalFormDnls):
-        return rhs_normalform(a, model.Omega, model.b1, model.b2)
-    raise TypeError(f"unknown envelope model {model!r}")
-
-
-def _cubic_chain(a: np.ndarray, adot: np.ndarray) -> np.ndarray:
-    # d/dt (|a|^2 a) = 2|a|^2 a' + a^2 conj(a')
-    return 2.0 * np.abs(a) ** 2 * adot + a**2 * np.conj(adot)
+    """Minus i times the gradient of the truncated normal-form energy with
+    respect to conj(psi); the b2 term is omitted when b2 is None."""
+    return rhs(NormalFormDnls(Omega, b1, b2), psi)
 
 
 def second_derivative(a: np.ndarray, model: DnlsModel) -> np.ndarray:
     """Exact second time derivative a'' obtained by differentiating the
-    model's right-hand side along itself (chain rule through |a|^2 a).
+    model's right-hand side along itself: the same stencil applied to a',
+    with d/dt (|a|^2 a) = 2|a|^2 a' + a^2 conj(a') as the cubic term.
 
     No finite differences are involved, so the result is accurate to
     rounding; residual evaluations rely on that.
     """
+    coefficients = model.coefficients
     ad = rhs(model, a)
-    if isinstance(model, StandardDnls):
-        return -0.5j * (
-            np.roll(ad, -1) + np.roll(ad, 1) - 3.0 * model.nu * _cubic_chain(a, ad)
-        )
-    if isinstance(model, GeneralizedDnls):
-        lin2 = np.roll(ad, -2) + 2.0 * ad + np.roll(ad, 2)
-        return -0.5j * (
-            np.roll(ad, -1)
-            + np.roll(ad, 1)
-            + 0.25 * model.epsilon * lin2
-            - 3.0 * model.epsilon * model.delta * _cubic_chain(a, ad)
-        )
-    if isinstance(model, NormalFormDnls):
-        grad = model.Omega * ad + model.b1 * (np.roll(ad, -1) + np.roll(ad, 1))
-        if model.b2 is not None:
-            grad = grad + model.b2 * (np.roll(ad, -2) + np.roll(ad, 2))
-        grad = grad + 0.75 * _cubic_chain(a, ad)
-        return -1j * grad
-    raise TypeError(f"unknown envelope model {model!r}")
+    cubic = coefficients[3] * (2.0 * np.abs(a) ** 2 * ad + a**2 * np.conj(ad))
+    return _flow(coefficients, ad, cubic)
 
 
 def l2_conserved(a: np.ndarray) -> float:

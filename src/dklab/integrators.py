@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BlowUpError
 from .dnls_models import DnlsModel, EnvelopeState, rhs
-from .lattice_core import LatticeState, ModelParams
+from .lattice_core import LatticeState, ModelParams, neighbor_sum
 
 __all__ = [
     "IntegratorConfig",
@@ -105,7 +105,7 @@ class Trajectory:
 
 
 def _dkg_force(x: np.ndarray, epsilon: float, rho: float) -> np.ndarray:
-    return -x - rho * x**3 + epsilon * (np.roll(x, -1) + np.roll(x, 1))
+    return -x - rho * x**3 + epsilon * neighbor_sum(x)
 
 
 def _advance_verlet(

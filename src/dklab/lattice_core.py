@@ -61,9 +61,12 @@ def cyclic_shift(arr: np.ndarray, k: int = 1) -> np.ndarray:
     return np.roll(arr, -k)
 
 
-def neighbor_sum(arr: np.ndarray) -> np.ndarray:
-    """Periodic nearest-neighbour sum a_{j+1} + a_{j-1}."""
-    return np.roll(arr, -1) + np.roll(arr, 1)
+def neighbor_sum(arr: np.ndarray, k: int = 1) -> np.ndarray:
+    """Periodic pair sum a_{j+k} + a_{j-k} of a 1-D array (0 <= k <= len),
+    bit-identical to ``np.roll(arr, -k) + np.roll(arr, k)``."""
+    n = len(arr)
+    padded = np.concatenate((arr[n - k:], arr, arr[:k]))
+    return padded[2 * k:] + padded[:n]
 
 
 def l2_norm(seq) -> float:

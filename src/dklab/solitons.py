@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import NewtonDivergenceError, NewtonSingularError, RegimeError
 from .approximation import leading_order
-from .dnls_models import StandardDnls, rhs_standard
+from .dnls_models import StandardDnls, rhs
 from .integrators import _advance_verlet, _dkg_force, _rk4_step
 from .lattice_core import LatticeState
 
@@ -217,7 +217,7 @@ def build_breather_initial(
             f"rho={rho} must equal eps*nu={epsilon * profile.nu} for this profile"
         )
     a = profile.A.astype(complex)
-    adot = rhs_standard(a, profile.nu)
+    adot = rhs(StandardDnls(profile.nu), a)
     ans = leading_order(a, adot, rho, epsilon, 0.0)
     return LatticeState(ans.X, ans.Xdot, 0.0)
 
@@ -234,7 +234,7 @@ def measure_envelope_period(
     steps = max(2, int(round(fit_span / dtau)))
     phases = np.empty(steps + 1)
     phases[0] = np.angle(a[anchor])
-    fun = lambda z: rhs_standard(z, profile.nu)  # noqa: E731
+    fun = lambda z: rhs(model, z)  # noqa: E731
     for i in range(steps):
         a = _rk4_step(a, fun, dtau)
         phases[i + 1] = np.angle(a[anchor])

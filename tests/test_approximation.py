@@ -14,7 +14,7 @@ from dklab.approximation import (
     run_justification,
 )
 from dklab.dnls_models import GeneralizedDnls, NormalFormDnls, StandardDnls, rhs
-from dklab.errors import RegimeError
+from dklab.errors import BlowUpError, RegimeError
 from dklab.solitons import solve_soliton
 
 
@@ -292,6 +292,38 @@ class TestJustificationHarness:
             JustificationConfig(
                 epsilon=0.1, rho=0.1, a0=a0, horizon="T0star", alpha=1.5
             ).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sample_stride", 0),
+            ("sample_stride", -1),
+            ("envelope_substep", 0.0),
+            ("envelope_substep", -1e-3),
+            ("dt", 0.0),
+            ("dt", 0.2),
+            ("dt", float("nan")),
+        ],
+    )
+    def test_step_and_stride_rejections(self, field, value):
+        cfg = JustificationConfig(
+            epsilon=0.1, rho=0.1, a0=np.zeros(17, dtype=complex), **{field: value}
+        )
+        with pytest.raises(RegimeError):
+            cfg.validate()
+
+    @pytest.mark.parametrize("amplitude", [1e3, 50.0])
+    def test_overflowing_envelope_raises_blowup(self, amplitude):
+        # 1e3 is the CLI's `justify --a0 onehot --amplitude-scale 1e3` input;
+        # at 50 the chain stays bounded while the envelope RK4 step is
+        # unstable, so only the envelope check can catch it
+        a0 = np.zeros(129, dtype=complex)
+        a0[64] = amplitude
+        cfg = JustificationConfig(epsilon=0.05, rho=0.05, a0=a0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError) as info:
+                run_justification(cfg)
+        assert info.value.last_good_time == 0.0
 
     def test_report_consistency(self, small_justify_report):
         rep = small_justify_report

@@ -78,6 +78,15 @@ class TestParsing:
         assert code == 1
         assert "coercive" in err
 
+    @pytest.mark.parametrize("stride", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["justify", "sweep", "justify-extended"])
+    def test_nonpositive_stride_rejected(self, command, stride, tmp_path, capsys):
+        code, _, err = run_cli(
+            [command, "--stride", stride, "--out", str(tmp_path)], capsys
+        )
+        assert code == 1
+        assert f"stride {stride}" in err
+
     def test_config_file_unknown_key(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text("frobnicate = 1\n")
