@@ -58,7 +58,7 @@ import numpy as np
 from .errors import RegimeError
 from .dnls_models import DnlsModel, GeneralizedDnls, StandardDnls, rhs, second_derivative
 from .integrators import _advance_verlet, _check_sane, _dkg_force, _rk4_step
-from .lattice_core import l2_norm, neighbor_sum
+from .lattice_core import l2_norm, neighbor_sum, write_csv
 
 __all__ = [
     "AnsatzSample",
@@ -427,15 +427,10 @@ class JustificationReport:
         }
 
     def write_csv(self, path, config_hash: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if config_hash:
-                fh.write(f"# config_hash={config_hash}\n")
-            fh.write("t,error_norm,Q,bound_scale\n")
-            for i, t in enumerate(self.times):
-                fh.write(
-                    f"{float(t)!r},{float(self.error_norm[i])!r},"
-                    f"{float(self.Q[i])!r},{self.bound_scale!r}\n"
-                )
+        scale = np.full(len(self.times), self.bound_scale)
+        rows = np.column_stack((self.times, self.error_norm, self.Q, scale)).tolist()
+        comments = [f"config_hash={config_hash}"] if config_hash else []
+        write_csv(path, ("t", "error_norm", "Q", "bound_scale"), rows, comments)
 
 
 def run_justification(config: JustificationConfig) -> JustificationReport:
@@ -446,7 +441,8 @@ def run_justification(config: JustificationConfig) -> JustificationReport:
     samples the envelope advances by exactly eps * (elapsed fast time) in
     RK4 substeps no longer than ``envelope_substep``, so the two clocks stay
     commensurate and the ansatz never needs interpolation.  Chain and
-    envelope share the ``BLOWUP_LIMIT`` guard of :func:`integrate`.
+    envelope share the ``BLOWUP_LIMIT`` guard of :func:`integrate`, from the
+    initial state on.
     """
     config.validate()
     eps, rho, dt = config.epsilon, config.rho, config.dt
@@ -475,10 +471,7 @@ def run_justification(config: JustificationConfig) -> JustificationReport:
             u = rng.standard_normal(len(arr))
             arr += (0.5 * size / np.linalg.norm(u)) * u
 
-    n = len(x)
-    up = np.arange(1, n + 1) % n
-    dn = np.arange(-1, n - 1) % n
-    tmp = np.empty(n)
+    _check_sane((x, y, a), 0.0, initial=True)
     f = _dkg_force(x, eps, rho)
 
     n_steps = max(1, int(round(config.t_end / dt)))
@@ -501,7 +494,7 @@ def run_justification(config: JustificationConfig) -> JustificationReport:
     done = 0
     while done < n_steps:
         k = min(stride, n_steps - done)
-        _advance_verlet(x, y, f, eps, rho, dt, k, up, dn, tmp)
+        _advance_verlet(x, y, f, eps, rho, dt, k)
         dtau = eps * dt * k
         m_sub = max(1, int(math.ceil(dtau / config.envelope_substep)))
         h = dtau / m_sub

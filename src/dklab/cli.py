@@ -59,7 +59,7 @@ from .errors import (
     RegimeError,
     ThresholdError,
 )
-from .lattice_core import LatticeState, ModelParams, energy_dkg, l2_norm
+from .lattice_core import LatticeState, ModelParams, energy_dkg, l2_norm, write_csv
 
 __all__ = ["ExperimentConfig", "parse_and_validate", "run", "main"]
 
@@ -616,13 +616,12 @@ def _run_justify_sweep(cfg: ExperimentConfig, parallel: bool) -> int:
                 cfg.outdir / "sweep.svg", pairs, slope, intercept, cfg.config_hash
             )
     _write_json(cfg.outdir / "summary.json", payload, cfg.config_hash)
-    with open(cfg.outdir / "sweep.csv", "w") as fh:
-        fh.write(f"# config_hash={cfg.config_hash}\n")
-        fh.write("epsilon,rho,sup_error,bound_scale,ratio\n")
-        for r in reports:
-            fh.write(
-                f"{r.epsilon!r},{r.rho!r},{r.sup_error!r},{r.bound_scale!r},{r.ratio!r}\n"
-            )
+    write_csv(
+        cfg.outdir / "sweep.csv",
+        ("epsilon", "rho", "sup_error", "bound_scale", "ratio"),
+        [(r.epsilon, r.rho, r.sup_error, r.bound_scale, r.ratio) for r in reports],
+        [f"config_hash={cfg.config_hash}"],
+    )
     return 0
 
 
@@ -698,11 +697,12 @@ def _cmd_normalform(cfg: ExperimentConfig) -> int:
         "m_checked": cert.m_checked,
     }
     _write_json(cfg.outdir / "normalform.json", payload, cfg.config_hash)
-    with open(cfg.outdir / "decay.csv", "w") as fh:
-        fh.write(f"# config_hash={cfg.config_hash}\n")
-        fh.write("m,b_m,decay_scale\n")
-        for m, bm, scale in coeffs.decay_table():
-            fh.write(f"{m},{bm!r},{scale!r}\n")
+    write_csv(
+        cfg.outdir / "decay.csv",
+        ("m", "b_m", "decay_scale"),
+        coeffs.decay_table(),
+        [f"config_hash={cfg.config_hash}"],
+    )
     return 0
 
 
@@ -736,11 +736,12 @@ def _cmd_breather_return(cfg: ExperimentConfig) -> int:
         profile, p["epsilon"], rho, p["periods"], p["dt"]
     )
     cfg.outdir.mkdir(parents=True, exist_ok=True)
-    with open(cfg.outdir / "breather_return.csv", "w") as fh:
-        fh.write(f"# config_hash={cfg.config_hash}\n")
-        fh.write("k,t,return_error\n")
-        for k, (t, err) in enumerate(zip(report.times, report.errors), start=1):
-            fh.write(f"{k},{float(t)!r},{float(err)!r}\n")
+    write_csv(
+        cfg.outdir / "breather_return.csv",
+        ("k", "t", "return_error"),
+        zip(range(1, len(report.times) + 1), report.times.tolist(), report.errors.tolist()),
+        [f"config_hash={cfg.config_hash}"],
+    )
     _write_json(
         cfg.outdir / "breather_return.json",
         {

@@ -32,7 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from .lattice_core import l2_norm, neighbor_sum
+from .lattice_core import l2_norm, neighbor_sum, read_csv, write_csv
 
 __all__ = [
     "EnvelopeState",
@@ -103,33 +103,16 @@ class EnvelopeState:
         return cls(a, float(d["tau"]))
 
     def write_csv(self, path, header_comment: str | None = None) -> None:
-        n_half = self.n_half
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            fh.write(f"# tau={self.tau!r}\n")
-            fh.write("j,re,im\n")
-            for i in range(self.n_sites):
-                fh.write(
-                    f"{i - n_half},{float(self.a.real[i])!r},{float(self.a.imag[i])!r}\n"
-                )
+        comments = [c for c in (header_comment, f"tau={self.tau!r}") if c]
+        sites = range(-self.n_half, self.n_half + 1)
+        rows = zip(sites, self.a.real.tolist(), self.a.imag.tolist())
+        write_csv(path, ("j", "re", "im"), rows, comments)
 
     @classmethod
     def read_csv(cls, path) -> "EnvelopeState":
-        tau = 0.0
-        rows = []
-        with open(path, newline="") as fh:
-            for line in fh:
-                line = line.strip()
-                if line.startswith("# tau="):
-                    tau = float(line[6:])
-                    continue
-                if not line or line.startswith("#") or line.startswith("j,"):
-                    continue
-                rows.append(line.split(","))
-        rows.sort(key=lambda r: int(r[0]))
-        a = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
-        return cls(a, tau)
+        meta, rows = read_csv(path)
+        a = np.array([complex(float(r[1]), float(r[2])) for r in rows])
+        return cls(a, float(meta.get("tau", 0.0)))
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ Two schemes cover the two flows in the package:
 
 ``integrate`` advances an initial state to ``t_end``, recording every
 ``observer_stride`` steps.  Observers receive (t, state) read-only and
-return named diagnostics.  Any recorded sample with a non-finite entry or
-an entry beyond 1e6 in magnitude aborts the run with :class:`BlowUpError`;
-the hard quartic potential makes the exact flow global, so hitting the
-guard always means the discretisation failed.
+return named diagnostics.  An initial state or recorded sample with a
+non-finite entry or an entry beyond 1e6 in magnitude aborts the run with
+:class:`BlowUpError`.  The hard quartic potential makes the exact flow
+global, so a recorded sample that trips the guard always means the
+discretisation failed.
 
 Times in a trajectory are in the model's own clock: fast time for the chain
 and the normal-form envelope, slow time for the multiscale envelopes.
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import BlowUpError
 from .dnls_models import DnlsModel, EnvelopeState, rhs
-from .lattice_core import LatticeState, ModelParams, neighbor_sum
+from .lattice_core import LatticeState, ModelParams, neighbor_sum, write_csv
 
 __all__ = [
     "IntegratorConfig",
@@ -92,13 +93,9 @@ class Trajectory:
 
     def write_csv(self, path, config_hash: str | None = None) -> None:
         names = sorted(self.diagnostics)
-        with open(path, "w", newline="") as fh:
-            if config_hash:
-                fh.write(f"# config_hash={config_hash}\n")
-            fh.write(",".join(["t"] + names) + "\n")
-            for i, t in enumerate(self.times):
-                row = [repr(float(t))] + [repr(float(self.diagnostics[n][i])) for n in names]
-                fh.write(",".join(row) + "\n")
+        rows = np.column_stack([self.times] + [self.diagnostics[n] for n in names]).tolist()
+        comments = [f"config_hash={config_hash}"] if config_hash else []
+        write_csv(path, ["t"] + names, rows, comments)
 
 
 # -- low-level kernels -------------------------------------------------------
@@ -116,17 +113,18 @@ def _advance_verlet(
     rho: float,
     dt: float,
     n_steps: int,
-    up: np.ndarray,
-    dn: np.ndarray,
-    tmp: np.ndarray,
 ) -> None:
     """Advance (x, y) in place by n_steps velocity-Verlet steps.
 
     ``f`` must hold the force at the incoming x and holds the force at the
-    outgoing x on return; ``up``/``dn`` are precomputed periodic index maps
-    and ``tmp`` a scratch buffer (kept outside the loop to avoid
-    reallocating on multi-million-step runs).
+    outgoing x on return.  The kernel owns its periodic index maps and its
+    scratch buffer: it builds them once per call, before the step loop, so
+    the loop itself allocates nothing.
     """
+    n = len(x)
+    up = np.arange(1, n + 1) % n
+    dn = np.arange(-1, n - 1) % n
+    tmp = np.empty(n)
     half = 0.5 * dt
     for _ in range(n_steps):
         y += half * f
@@ -181,11 +179,12 @@ def step_envelope_rk4(env: EnvelopeState, model: DnlsModel, dt: float) -> Envelo
 # -- driver -------------------------------------------------------------------
 
 
-def _check_sane(arrs: Iterable[np.ndarray], t_last_good: float) -> None:
+def _check_sane(arrs: Iterable[np.ndarray], t_last_good: float, initial: bool = False) -> None:
     for arr in arrs:
         m = np.max(np.abs(arr)) if arr.size else 0.0
         if not np.isfinite(m) or m > BLOWUP_LIMIT:
-            raise BlowUpError("state blew up during integration", t_last_good)
+            what = "initial state out of range" if initial else "state blew up during integration"
+            raise BlowUpError(what, t_last_good)
 
 
 def integrate(
@@ -231,6 +230,7 @@ def integrate(
         if sample_sink is not None:
             sample_sink(t, state, row)
 
+    _check_sane((state0.x, state0.y) if is_lattice else (state0.a,), t0, initial=True)
     record(t0, state0)
     n_steps = config.n_steps
     stride = config.observer_stride
@@ -239,16 +239,12 @@ def integrate(
     if is_lattice:
         x = state0.x.copy()
         y = state0.y.copy()
-        n = len(x)
-        up = np.arange(1, n + 1) % n
-        dn = np.arange(-1, n - 1) % n
-        tmp = np.empty(n)
         f = _dkg_force(x, system.epsilon, system.rho)
         done = 0
         t_good = t0
         while done < n_steps:
             k = min(stride, n_steps - done)
-            _advance_verlet(x, y, f, system.epsilon, system.rho, dt, k, up, dn, tmp)
+            _advance_verlet(x, y, f, system.epsilon, system.rho, dt, k)
             done += k
             t = t0 + done * dt
             _check_sane((x, y), t_good)

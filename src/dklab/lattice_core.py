@@ -29,6 +29,7 @@ factors.  The map is a bijection from (0, inf) onto (0, 1/2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +43,8 @@ __all__ = [
     "l2_norm",
     "energy_dkg",
     "rescale_to_standard",
+    "write_csv",
+    "read_csv",
 ]
 
 
@@ -67,6 +70,30 @@ def neighbor_sum(arr: np.ndarray, k: int = 1) -> np.ndarray:
     n = len(arr)
     padded = np.concatenate((arr[n - k:], arr, arr[:k]))
     return padded[2 * k:] + padded[:n]
+
+
+def write_csv(path, header, rows, comments=()) -> None:
+    """Write one ``# {c}`` line per comment, the comma-joined header, then
+    one line per row.  Rows hold Python scalars, written by ``repr``, so
+    floats use shortest round-trip decimals."""
+    line = ",".join(["{!r}"] * len(header)) + "\n"
+    with open(path, "w", newline="") as fh:
+        for c in comments:
+            fh.write(f"# {c}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(line.format(*row))
+
+
+def read_csv(path) -> tuple[dict[str, str], list[list[str]]]:
+    """Read a file of :func:`write_csv`: ``meta`` maps each ``# key=value``
+    comment to its value, ``rows`` holds the fields of every line after the
+    header."""
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines()
+    comments = list(takewhile(lambda line: line.startswith("#"), lines))
+    meta = dict(c[1:].strip().split("=", 1) for c in comments if "=" in c)
+    return meta, [line.split(",") for line in lines[len(comments) + 1:]]
 
 
 def l2_norm(seq) -> float:
@@ -131,32 +158,16 @@ class LatticeState:
 
     def write_csv(self, path, header_comment: str | None = None) -> None:
         """Columns j, x, y; floats use shortest round-trip decimals."""
-        n_half = self.n_half
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            fh.write(f"# t={self.t!r}\n")
-            fh.write("j,x,y\n")
-            for i in range(self.n_sites):
-                fh.write(f"{i - n_half},{float(self.x[i])!r},{float(self.y[i])!r}\n")
+        comments = [c for c in (header_comment, f"t={self.t!r}") if c]
+        sites = range(-self.n_half, self.n_half + 1)
+        write_csv(path, ("j", "x", "y"), zip(sites, self.x.tolist(), self.y.tolist()), comments)
 
     @classmethod
     def read_csv(cls, path) -> "LatticeState":
-        t = 0.0
-        rows = []
-        with open(path, newline="") as fh:
-            for line in fh:
-                line = line.strip()
-                if line.startswith("# t="):
-                    t = float(line[4:])
-                    continue
-                if not line or line.startswith("#") or line.startswith("j,"):
-                    continue
-                rows.append(line.split(","))
-        rows.sort(key=lambda r: int(r[0]))
+        meta, rows = read_csv(path)
         x = np.array([float(r[1]) for r in rows])
         y = np.array([float(r[2]) for r in rows])
-        return cls(x, y, t)
+        return cls(x, y, float(meta.get("t", 0.0)))
 
 
 @dataclass(frozen=True)

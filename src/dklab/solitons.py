@@ -37,8 +37,8 @@ import numpy as np
 from .errors import NewtonDivergenceError, NewtonSingularError, RegimeError
 from .approximation import leading_order
 from .dnls_models import StandardDnls, rhs
-from .integrators import _advance_verlet, _dkg_force, _rk4_step
-from .lattice_core import LatticeState
+from .integrators import _advance_verlet, _check_sane, _dkg_force, _rk4_step
+from .lattice_core import LatticeState, write_csv
 
 __all__ = [
     "SolitonProfile",
@@ -93,13 +93,9 @@ class SolitonProfile:
         }
 
     def write_csv(self, path, header_comment: str | None = None) -> None:
-        n_half = self.n_half
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            fh.write("j,A\n")
-            for i, v in enumerate(self.A):
-                fh.write(f"{i - n_half},{float(v)!r}\n")
+        comments = [header_comment] if header_comment else []
+        sites = range(-self.n_half, len(self.A) - self.n_half)
+        write_csv(path, ("j", "A"), zip(sites, self.A.tolist()), comments)
 
 
 def stationary_defect(A: np.ndarray, Omega_s: float, nu: float) -> np.ndarray:
@@ -267,7 +263,8 @@ def breather_return_error(
 
     Refuses horizons beyond tau0/rho with tau0 = 1, past which the envelope
     approximation no longer controls the error.  The step is snapped to divide the
-    period exactly so samples land on kT without interpolation.
+    period exactly so samples land on kT without interpolation.  The chain
+    shares the ``BLOWUP_LIMIT`` guard of :func:`dklab.integrators.integrate`.
     """
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
@@ -282,16 +279,13 @@ def breather_return_error(
     y = state0.y.copy()
     x0 = state0.x
     y0 = state0.y
-    n = len(x)
     steps_per_period = max(1, int(round(period / dt)))
     h = period / steps_per_period
-    up = np.arange(1, n + 1) % n
-    dn = np.arange(-1, n - 1) % n
-    tmp = np.empty(n)
     f = _dkg_force(x, epsilon, rho)
     errors = np.empty(n_periods)
     for k in range(n_periods):
-        _advance_verlet(x, y, f, epsilon, rho, h, steps_per_period, up, dn, tmp)
+        _advance_verlet(x, y, f, epsilon, rho, h, steps_per_period)
+        _check_sane((x, y), k * period)
         errors[k] = float(np.linalg.norm(x - x0) + np.linalg.norm(y - y0))
     times = period * np.arange(1, n_periods + 1)
     return BreatherReturnReport(period, omega_fit, times, errors)

@@ -172,10 +172,6 @@ class TestErrorEnergy:
         rng = np.random.default_rng(6)
         x = x + 1e-3 * rng.standard_normal(len(x))
         ydot = ans0.Xdot + 1e-3 * rng.standard_normal(len(x))
-        n = len(x)
-        up = np.arange(1, n + 1) % n
-        dn = np.arange(-1, n - 1) % n
-        tmp = np.empty(n)
         dt = 1e-4
         f = _dkg_force(x, eps, rho)
         energies = []
@@ -191,7 +187,7 @@ class TestErrorEnergy:
             if step == 1:
                 res = residual_direct(a, model, eps, rho, t)
                 rate_mid = error_energy_rate(yerr, yderr, ans.X, ans.Xdot, res, rho)
-            _advance_verlet(x, ydot, f, eps, rho, dt, 1, up, dn, tmp)
+            _advance_verlet(x, ydot, f, eps, rho, dt, 1)
             a = _rk4_step(a, fun, eps * dt)
         fd = (energies[2] - energies[0]) / (2.0 * dt)
         assert rate_mid == pytest.approx(fd, rel=5e-4)
@@ -213,10 +209,6 @@ class TestErrorEnergy:
         rng = np.random.default_rng(9)
         x = ans0.X + 5e-3 * rng.standard_normal(len(ans0.X))
         ydot = ans0.Xdot + 5e-3 * rng.standard_normal(len(ans0.X))
-        n = len(x)
-        up = np.arange(1, n + 1) % n
-        dn = np.arange(-1, n - 1) % n
-        tmp = np.empty(n)
         dt = 1e-4
         f = _dkg_force(x, eps, rho)
         qs = []
@@ -234,7 +226,7 @@ class TestErrorEnergy:
                 )
                 nx, nxd = l2_norm(ans.X), l2_norm(ans.Xdot)
                 mid = res_norm + 6 * rho * q * nx * nxd + 12 * rho * q**2 * nx + 8 * rho * q**3
-            _advance_verlet(x, ydot, f, eps, rho, dt, 1, up, dn, tmp)
+            _advance_verlet(x, ydot, f, eps, rho, dt, 1)
             a = _rk4_step(a, fun, eps * dt)
         dq_fd = abs(qs[2] - qs[0]) / (2.0 * dt)
         assert dq_fd <= mid * (1.0 + 1e-3) + 1e-12

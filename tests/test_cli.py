@@ -1,6 +1,7 @@
 """Command-line interface: parsing, validation, outputs, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -314,3 +315,27 @@ class TestJustifyCommands:
         assert payload["errors"][0] < 1.0
         rows = (tmp_path / "breather_return.csv").read_text().splitlines()
         assert rows[1] == "k,t,return_error"
+
+    def test_out_of_range_initial_state_exits_one(self, tmp_path, capsys):
+        # the chain starts near 1.2e7 > BLOWUP_LIMIT; the run must stop before
+        # its first step, so no overflow warning is ever raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(
+                ["justify", "--a0", "onehot", "--amplitude-scale", "1e3",
+                 "--out", str(tmp_path)],
+                capsys,
+            )
+        assert code == 1
+        assert "initial state out of range" in err
+
+    def test_breather_return_blowup_exits_one(self, tmp_path, capsys):
+        # dt = 0.05 does not resolve the chain at Omega_s = 1000
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run_cli(
+                ["breather-return", "--omega-s", "1000", "--dt", "0.05",
+                 "--periods", "1", "--out", str(tmp_path)],
+                capsys,
+            )
+        assert code == 1
+        assert "blew up" in err

@@ -1,0 +1,163 @@
+"""Whole-file bytes of every CSV the program writes.
+
+Each case writes one file from a small fixed input, built from numpy arrays
+as the program builds it, and compares the complete text with a literal.
+The three files that ``dklab.cli`` writes itself are produced by running
+their subcommands with the numerical work replaced by fixed results.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from dklab import approximation, cli, normal_form, solitons
+from dklab.approximation import JustificationReport
+from dklab.dnls_models import EnvelopeState
+from dklab.integrators import Trajectory
+from dklab.lattice_core import LatticeState
+from dklab.solitons import BreatherReturnReport, SolitonProfile
+
+
+def _report():
+    times = 0.5 * np.arange(3)
+    errors = np.array([0.0, 2.5e-3, 1e-300])
+    scale = 0.1**2 / 0.1
+    sup = float(np.max(errors))
+    return JustificationReport(
+        epsilon=0.1, rho=0.1, regime="standard", horizon="T0", tau0=1.0,
+        big_a=0.5, alpha=0.5, times=times, error_norm=errors,
+        Q=np.sqrt(np.arange(3.0)), bound_scale=scale, sup_error=sup,
+        ratio=sup / scale,
+    )
+
+
+def _run_command(argv, tmp_path, capsys):
+    cfg = cli.parse_and_validate(argv + ["--out", str(tmp_path)])
+    capsys.readouterr()
+    assert cli.run(dataclasses.replace(cfg, config_hash="cafe")) == 0
+
+
+def write_trajectory(path, monkeypatch, capsys):
+    diagnostics = {"norm": np.sqrt(np.arange(3.0)), "energy": np.array([1.0, -0.0, 5e-324])}
+    Trajectory(0.1 * np.arange(3), [], diagnostics).write_csv(path / "t.csv", config_hash="cafe")
+    return path / "t.csv"
+
+
+def write_report(path, monkeypatch, capsys):
+    _report().write_csv(path / "r.csv", config_hash="cafe")
+    return path / "r.csv"
+
+
+def write_soliton(path, monkeypatch, capsys):
+    profile = SolitonProfile(np.array([0.25, 1.0, 0.25]) / 3.0, 1.5, 1.0, 0.0, 3)
+    profile.write_csv(path / "s.csv", "config_hash=cafe")
+    return path / "s.csv"
+
+
+def write_lattice(path, monkeypatch, capsys):
+    x = np.array([0.1, -0.0, 1e308])
+    state = LatticeState(x, -0.5 * x[::-1], 0.1 + 0.2)
+    state.write_csv(path / "l.csv", "config_hash=cafe")
+    return path / "l.csv"
+
+
+def write_envelope(path, monkeypatch, capsys):
+    a = np.array([1.0 + 2.0j, -0.5j, 1.0]) / 3.0
+    EnvelopeState(a, 0.5).write_csv(path / "e.csv", "config_hash=cafe")
+    return path / "e.csv"
+
+
+def write_sweep(path, monkeypatch, capsys):
+    monkeypatch.setattr(approximation, "run_justification", lambda cfg: _report())
+    _run_command(["justify", "--epsilon", "0.1", "--a0", "onehot", "--n", "2"], path, capsys)
+    return path / "sweep.csv"
+
+
+def write_decay(path, monkeypatch, capsys):
+    coeffs = normal_form.NormalFormCoeffs(2, 0.1, 1.0, np.array([-0.05, 0.1 / 3.0]), np.ones(5))
+    monkeypatch.setattr(normal_form, "sqrt_circulant", lambda n, eps: coeffs)
+    _run_command(["normalform", "--epsilon", "0.1", "--n", "2"], path, capsys)
+    return path / "decay.csv"
+
+
+def write_breather_return(path, monkeypatch, capsys):
+    period = 2.0 * np.pi / 3.0
+    errors = np.array([1e-3, 2.5e-3]) / 3.0
+    report = BreatherReturnReport(period, 3.0, period * np.arange(1, 3), errors)
+    monkeypatch.setattr(solitons, "solve_soliton", lambda *args: None)
+    monkeypatch.setattr(solitons, "breather_return_error", lambda *args: report)
+    _run_command(["breather-return", "--n", "2", "--periods", "2"], path, capsys)
+    return path / "breather_return.csv"
+
+
+CASES = {
+    "trajectory": (
+        write_trajectory,
+        "# config_hash=cafe\n"
+        "t,energy,norm\n"
+        "0.0,1.0,0.0\n"
+        "0.1,-0.0,1.0\n"
+        "0.2,5e-324,1.4142135623730951\n"
+    ),
+    "report": (
+        write_report,
+        "# config_hash=cafe\n"
+        "t,error_norm,Q,bound_scale\n"
+        "0.0,0.0,0.0,0.10000000000000002\n"
+        "0.5,0.0025,1.0,0.10000000000000002\n"
+        "1.0,1e-300,1.4142135623730951,0.10000000000000002\n"
+    ),
+    "soliton": (
+        write_soliton,
+        "# config_hash=cafe\n"
+        "j,A\n"
+        "-1,0.08333333333333333\n"
+        "0,0.3333333333333333\n"
+        "1,0.08333333333333333\n"
+    ),
+    "lattice_state": (
+        write_lattice,
+        "# config_hash=cafe\n"
+        "# t=0.30000000000000004\n"
+        "j,x,y\n"
+        "-1,0.1,-5e+307\n"
+        "0,-0.0,0.0\n"
+        "1,1e+308,-0.05\n"
+    ),
+    "envelope_state": (
+        write_envelope,
+        "# config_hash=cafe\n"
+        "# tau=0.5\n"
+        "j,re,im\n"
+        "-1,0.3333333333333333,0.6666666666666666\n"
+        "0,-0.0,-0.16666666666666666\n"
+        "1,0.3333333333333333,0.0\n"
+    ),
+    "sweep": (
+        write_sweep,
+        "# config_hash=cafe\n"
+        "epsilon,rho,sup_error,bound_scale,ratio\n"
+        "0.1,0.1,0.0025,0.10000000000000002,0.024999999999999994\n"
+    ),
+    "decay": (
+        write_decay,
+        "# config_hash=cafe\n"
+        "m,b_m,decay_scale\n"
+        "1,-0.05,0.2\n"
+        "2,0.03333333333333333,0.04000000000000001\n"
+    ),
+    "breather_return": (
+        write_breather_return,
+        "# config_hash=cafe\n"
+        "k,t,return_error\n"
+        "1,2.0943951023931953,0.0003333333333333333\n"
+        "2,4.1887902047863905,0.0008333333333333334\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_csv_bytes(name, tmp_path, monkeypatch, capsys):
+    write, expected = CASES[name]
+    assert write(tmp_path, monkeypatch, capsys).read_bytes().decode() == expected

@@ -236,6 +236,23 @@ class TestIntegrateDriver:
                 integrate(s, ModelParams(0.01, 1.0, 2), cfg)
         assert exc_info.value.last_good_time >= 0.0
 
+    def test_out_of_range_initial_state(self):
+        # 2e6 lies beyond BLOWUP_LIMIT already at t = 0: the guard fires
+        # before the first step and before any observer sees the state
+        x = np.zeros(5)
+        x[2] = 2e6
+        seen = []
+        cfg = IntegratorConfig(0.1, 1.0, observer_stride=1, scheme="verlet")
+        with pytest.raises(BlowUpError, match="initial state out of range") as exc_info:
+            integrate(
+                LatticeState(x, np.zeros(5)),
+                ModelParams(0.01, 1.0, 2),
+                cfg,
+                observers=[lambda t, s: seen.append(t) or {}],
+            )
+        assert seen == []
+        assert exc_info.value.last_good_time == 0.0
+
     def test_clock_tags(self):
         env = EnvelopeState(np.zeros(5, dtype=complex))
         cfg = IntegratorConfig(1e-2, 1e-1, scheme="rk4")
