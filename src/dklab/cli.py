@@ -3,8 +3,7 @@
 One experiment = one subcommand run into one output directory.  Every
 output file embeds a hash of the effective configuration, and re-running
 with the same configuration reproduces files byte for byte (fixed summation
-order, no parallel reductions into shared accumulators; sweep workers never
-write, the parent serialises all output in a fixed order).
+order, sweep points run one after another and write in a fixed order).
 
 Subcommands
 -----------
@@ -18,8 +17,7 @@ normalform        square-root coefficients (Omega, b_m) + decay certificate
 thresholds        smallness constants of the normal-form step
 soliton           Newton-solve a stationary envelope profile
 breather-return   period-return errors of the constructed breather
-sweep             parallel variant of ``justify --sweep`` (worker count from
-                  the DKLAB_WORKERS environment variable)
+sweep             alias of ``justify --sweep``
 
 Configuration values may come from a flat key-value file (``--config``,
 lines of ``name = value`` with ``#`` comments, names matching the long
@@ -32,11 +30,9 @@ requested bound check did not hold.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,8 +58,6 @@ from .errors import (
 from .lattice_core import LatticeState, ModelParams, energy_dkg, l2_norm, write_csv
 
 __all__ = ["ExperimentConfig", "parse_and_validate", "run", "main"]
-
-_WORKERS_ENV = "DKLAB_WORKERS"
 
 try:  # version for --version and output metadata
     from importlib.metadata import version as _dist_version
@@ -202,7 +196,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(
             name,
             help="error-scaling experiment" if name == "justify"
-            else "parallel eps-sweep of the justify experiment",
+            else "alias of justify --sweep",
         )
         p.add_argument("--epsilon", type=float, default=0.05)
         p.add_argument("--sweep", type=_float_list, default=None,
@@ -577,24 +571,15 @@ def _justify_config(params: dict, eps: float, seed: int) -> approximation.Justif
     )
 
 
-def _justify_point(jcfg: approximation.JustificationConfig) -> approximation.JustificationReport:
-    return approximation.run_justification(jcfg)
-
-
 def _eps_tag(eps: float) -> str:
     return repr(eps).replace(".", "p").replace("-", "m")
 
 
-def _run_justify_sweep(cfg: ExperimentConfig, parallel: bool) -> int:
+def _run_justify_sweep(cfg: ExperimentConfig) -> int:
     p = cfg.params
     eps_list = p.get("sweep") or [p["epsilon"]]
     jconfigs = [_justify_config(p, e, cfg.seed) for e in eps_list]
-    if parallel and len(jconfigs) > 1:
-        workers = int(os.environ.get(_WORKERS_ENV, "0")) or None
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_justify_point, jconfigs))
-    else:
-        reports = [_justify_point(jc) for jc in jconfigs]
+    reports = [approximation.run_justification(jc) for jc in jconfigs]
 
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     summaries = []
@@ -759,8 +744,8 @@ def _cmd_breather_return(cfg: ExperimentConfig) -> int:
 _COMMANDS = {
     "simulate-dkg": _cmd_simulate_dkg,
     "simulate-dnls": _cmd_simulate_dnls,
-    "justify": lambda cfg: _run_justify_sweep(cfg, parallel=False),
-    "sweep": lambda cfg: _run_justify_sweep(cfg, parallel=True),
+    "justify": _run_justify_sweep,
+    "sweep": _run_justify_sweep,
     "justify-extended": _cmd_justify_extended,
     "normalform": _cmd_normalform,
     "thresholds": _cmd_thresholds,

@@ -19,11 +19,30 @@ discretisation failed.
 
 Times in a trajectory are in the model's own clock: fast time for the chain
 and the normal-form envelope, slow time for the multiscale envelopes.
+
+The chain's step loop, ``_advance_verlet``, runs a C kernel (``_verlet.c``,
+shipped next to this file) when it can.  The kernel is compiled on first use,
+never at import, with the system ``cc -O2 -ffp-contract=off -shared -fPIC``
+into ``$XDG_CACHE_HOME/dklab/`` (default ``~/.cache/dklab/``) under a name
+keyed on the source, the flags and the machine type.  It performs the numpy
+loop's operations in the same order, so its results are bit-identical to
+``_advance_verlet_numpy``, which stays as the reference.  When there is no
+compiler, the cache cannot be written, the library does not load, or the
+arrays are not equal-length, contiguous, writeable float64 vectors, the
+numpy loop runs instead, silently.  :func:`verlet_backend` reports which of
+the two the process uses.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import os
+import platform
+import shutil
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -38,6 +57,7 @@ __all__ = [
     "step_dkg_verlet",
     "step_envelope_rk4",
     "integrate",
+    "verlet_backend",
     "BLOWUP_LIMIT",
 ]
 
@@ -105,6 +125,78 @@ def _dkg_force(x: np.ndarray, epsilon: float, rho: float) -> np.ndarray:
     return -x - rho * x**3 + epsilon * neighbor_sum(x)
 
 
+_KERNEL_SOURCE = Path(__file__).with_name("_verlet.c")
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+@functools.cache
+def _compiled_kernel():
+    """The C step loop of ``_verlet.c``, loaded through ctypes, or None.
+
+    Built on the first call into the cache directory.  The compiler writes a
+    temporary file that is then renamed into place, so a process never loads
+    a library another process is still writing.
+    """
+    import ctypes
+    import subprocess
+
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base):  # no usable home directory: never write into the cwd
+        return None
+    cache = Path(base, "dklab")
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+        key = hashlib.sha256(
+            b"\0".join([source, " ".join(_KERNEL_FLAGS).encode(), platform.machine().encode()])
+        ).hexdigest()[:16]
+        lib = cache / f"_verlet-{key}.so"
+        if not lib.exists():
+            cc = shutil.which("cc")
+            if cc is None:
+                return None
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run(
+                    [cc, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+                    check=True, capture_output=True, timeout=120,
+                )
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        fn = ctypes.CDLL(str(lib)).dklab_advance_verlet
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    fn.argtypes = (
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
+    )
+    fn.restype = None
+    return fn
+
+
+def verlet_backend() -> str:
+    """``"compiled"`` when ``_advance_verlet`` runs the C kernel on float64
+    vectors in this process, ``"numpy"`` when it falls back to the numpy loop.
+    Builds the kernel if it is not built yet."""
+    return "numpy" if _compiled_kernel() is None else "compiled"
+
+
+def _kernel_accepts(x, y, f) -> bool:
+    n = len(x)
+    return all(
+        isinstance(a, np.ndarray)
+        and a.dtype == np.float64
+        and a.ndim == 1
+        and a.shape[0] == n
+        and a.flags.c_contiguous
+        and a.flags.writeable
+        for a in (x, y, f)
+    )
+
+
 def _advance_verlet(
     x: np.ndarray,
     y: np.ndarray,
@@ -117,9 +209,31 @@ def _advance_verlet(
     """Advance (x, y) in place by n_steps velocity-Verlet steps.
 
     ``f`` must hold the force at the incoming x and holds the force at the
-    outgoing x on return.  The kernel owns its periodic index maps and its
-    scratch buffer: it builds them once per call, before the step loop, so
-    the loop itself allocates nothing.
+    outgoing x on return.  Runs the compiled kernel when it is available
+    and the arrays suit it, else ``_advance_verlet_numpy``; both give
+    bit-identical x, y and f.
+    """
+    kernel = _compiled_kernel()
+    if kernel is not None and _kernel_accepts(x, y, f):
+        kernel(x.ctypes.data, y.ctypes.data, f.ctypes.data, len(x), epsilon, rho, dt, n_steps)
+    else:
+        _advance_verlet_numpy(x, y, f, epsilon, rho, dt, n_steps)
+
+
+def _advance_verlet_numpy(
+    x: np.ndarray,
+    y: np.ndarray,
+    f: np.ndarray,
+    epsilon: float,
+    rho: float,
+    dt: float,
+    n_steps: int,
+) -> None:
+    """The numpy form of ``_advance_verlet``, and the reference the C kernel
+    must match bit for bit.
+
+    It builds its periodic index maps and its scratch buffer once per call,
+    before the step loop, so the loop itself allocates nothing.
     """
     n = len(x)
     up = np.arange(1, n + 1) % n
@@ -163,10 +277,7 @@ def step_dkg_verlet(state: LatticeState, params: ModelParams, dt: float) -> Latt
     x = state.x.copy()
     y = state.y.copy()
     f = _dkg_force(x, params.epsilon, params.rho)
-    half = 0.5 * dt
-    y += half * f
-    x += dt * y
-    y += half * _dkg_force(x, params.epsilon, params.rho)
+    _advance_verlet(x, y, f, params.epsilon, params.rho, dt, 1)
     return LatticeState(x, y, state.t + dt)
 
 

@@ -1,11 +1,16 @@
 """Command-line interface: parsing, validation, outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dklab
 from dklab.cli import main, parse_and_validate
 
 
@@ -293,6 +298,47 @@ class TestJustifyCommands:
         monkeypatch.setenv("DKLAB_WORKERS", "3")
         assert run_cli(args + ["--out", str(many)], capsys)[0] == 0
         assert read_dir_bytes(one) == read_dir_bytes(many)
+
+    @pytest.mark.filterwarnings("ignore:envelope magnitude")
+    def test_outputs_without_compiler_match_compiled(self, tmp_path, capsys):
+        # a process that finds no cc and no cached kernel runs the numpy
+        # Verlet loop; its files must equal this process's byte for byte
+        commands = {
+            "justify": ["justify", "--sweep", "0.1,0.09,0.08", "--n", "16", "--tau0", "0.05",
+                        "--dt", "5e-3", "--stride", "10"],
+            "dkg": ["simulate-dkg", "--n", "64", "--t-end", "2"],
+        }
+        script = (
+            "import sys\n"
+            "from dklab import cli, integrators\n"
+            "for name, argv in COMMANDS.items():\n"
+            "    assert cli.main(argv + ['--out', sys.argv[1] + '/' + name]) == 0\n"
+            "print(integrators.verlet_backend())\n"
+        ).replace("COMMANDS", repr(commands))
+        path = os.pathsep.join(
+            d for d in os.environ.get("PATH", "").split(os.pathsep)
+            if not any(os.path.exists(os.path.join(d, cc)) for cc in ("cc", "gcc"))
+        )
+        src = str(Path(dklab.__file__).resolve().parent.parent)
+        env = dict(
+            os.environ,
+            PATH=path,
+            XDG_CACHE_HOME=str(tmp_path / "cache"),
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        hidden = tmp_path / "hidden"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(hidden)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "numpy"
+        assert not (tmp_path / "cache").exists()
+
+        here = tmp_path / "here"
+        for name, argv in commands.items():
+            assert run_cli(argv + ["--out", str(here / name)], capsys)[0] == 0
+        assert read_dir_bytes(hidden) == read_dir_bytes(here)
 
     def test_justify_extended_short(self, tmp_path, capsys):
         code, _, _ = run_cli(

@@ -1,8 +1,12 @@
 """Verlet and RK4 steppers, trajectory driver, blow-up guard."""
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dklab import integrators
 from dklab.dnls_models import EnvelopeState, StandardDnls, l2_conserved
 from dklab.errors import BlowUpError
 from dklab.integrators import (
@@ -132,6 +136,65 @@ class TestVerletStep:
 
         ratio = max_drift(2e-3) / max_drift(1e-3)
         assert 3.2 <= ratio <= 4.8
+
+
+class TestVerletKernel:
+    @pytest.mark.parametrize("layout", ["strided", "big-endian"])
+    def test_unsuitable_arrays_take_numpy_path(self, layout, monkeypatch):
+        # the C kernel takes only contiguous native float64 vectors
+        rng = np.random.default_rng(9)
+        x0 = 0.5 * rng.standard_normal(33)
+        y0 = 0.5 * rng.standard_normal(33)
+        if layout == "strided":
+            def prepare(v):
+                out = np.zeros(2 * len(v))[::2]
+                out[:] = v
+                return out
+        else:
+            def prepare(v):
+                return v.astype(">f8")
+        x, y = prepare(x0), prepare(y0)
+        f = integrators._dkg_force(x, 0.1, 0.4)
+        xr, yr, fr = (v.copy() for v in (x, y, f))
+        integrators._advance_verlet_numpy(xr, yr, fr, 0.1, 0.4, 1e-2, 50)
+
+        calls = []
+        numpy_loop = integrators._advance_verlet_numpy
+        monkeypatch.setattr(
+            integrators,
+            "_advance_verlet_numpy",
+            lambda *args: calls.append(1) or numpy_loop(*args),
+        )
+        integrators._advance_verlet(x, y, f, 0.1, 0.4, 1e-2, 50)
+        assert calls == [1]
+        for got, want in ((x, xr), (y, yr), (f, fr)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_loader_builds_with_cc_and_gives_none_on_unusable_cache(self, tmp_path, monkeypatch):
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        load = integrators._compiled_kernel.__wrapped__  # bypass the per-process cache
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "built"))
+        assert load() is not None
+        (name,) = (p.name for p in (tmp_path / "built" / "dklab").iterdir())
+
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        assert load() is None
+
+        corrupt = tmp_path / "corrupt" / "dklab"
+        corrupt.mkdir(parents=True)
+        (corrupt / name).write_bytes(b"not a shared library")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "corrupt"))
+        assert load() is None
+
+    def test_source_ships_next_to_module(self):
+        # an installed package builds the kernel from its own copy of the source
+        source = integrators._KERNEL_SOURCE
+        assert source == Path(integrators.__file__).with_name("_verlet.c")
+        assert "dklab_advance_verlet" in source.read_text()
 
 
 class TestRk4Step:

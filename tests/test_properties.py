@@ -3,8 +3,9 @@
 They complement the hand-picked cases in test_dnls_models.py and
 test_lattice_core.py: the periodic pair sum against its np.roll
 definition, the shift equivariance, phase equivariance and norm
-conservation of every envelope right-hand side, and the CSV and JSON
-round trips of the chain and envelope states.
+conservation of every envelope right-hand side, the CSV and JSON
+round trips of the chain and envelope states, and the chain's Verlet
+kernel: bit-identical to its numpy reference and time-reversible.
 """
 
 import json
@@ -12,11 +13,13 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dklab.dnls_models import EnvelopeState, GeneralizedDnls, NormalFormDnls, StandardDnls, rhs
+from dklab.integrators import _advance_verlet, _advance_verlet_numpy, _dkg_force, verlet_backend
 from dklab.lattice_core import LatticeState, neighbor_sum, read_csv
 
 odd_lengths = st.integers(min_value=1, max_value=40).map(lambda m: 2 * m + 1)
@@ -134,3 +137,41 @@ def test_envelope_state_round_trips(state, config_hash):
         assert np.array_equal(back.a, state.a)
         assert back.tau == state.tau
     assert meta["config_hash"] == config_hash
+
+
+@st.composite
+def chains(draw):
+    """A chain state of 1..81 sites with its force, and one Verlet run:
+    (x, y, f, epsilon, rho, dt, n_steps); dt takes either sign."""
+    n = draw(st.integers(min_value=1, max_value=81))
+    x = draw(hnp.arrays(np.float64, n, elements=st.floats(min_value=-1.0, max_value=1.0)))
+    y = draw(hnp.arrays(np.float64, n, elements=st.floats(min_value=-1.0, max_value=1.0)))
+    epsilon = draw(st.floats(min_value=1e-3, max_value=0.49))
+    rho = draw(unit)
+    dt = draw(st.floats(min_value=1e-3, max_value=0.1)) * draw(st.sampled_from([1.0, -1.0]))
+    n_steps = draw(st.integers(min_value=0, max_value=200))
+    return x, y, _dkg_force(x, epsilon, rho), epsilon, rho, dt, n_steps
+
+
+@pytest.mark.skipif(verlet_backend() == "numpy", reason="no compiled Verlet kernel here")
+@given(run=chains())
+def test_compiled_verlet_matches_numpy(run):
+    x, y, f, *params = run
+    compiled = [x.copy(), y.copy(), f.copy()]
+    reference = [x.copy(), y.copy(), f.copy()]
+    _advance_verlet(*compiled, *params)
+    _advance_verlet_numpy(*reference, *params)
+    for a, b in zip(compiled, reference):
+        assert np.array_equal(a, b)
+
+
+@given(run=chains())
+def test_verlet_time_reversible(run):
+    # velocity Verlet with -dt inverts the step with dt exactly, so only
+    # rounding separates the start from the round trip
+    x0, y0, f0, epsilon, rho, dt, n_steps = run
+    x, y, f = x0.copy(), y0.copy(), f0.copy()
+    _advance_verlet(x, y, f, epsilon, rho, dt, n_steps)
+    _advance_verlet(x, y, f, epsilon, rho, -dt, n_steps)
+    assert np.max(np.abs(x - x0)) <= 1e-12
+    assert np.max(np.abs(y - y0)) <= 1e-12
