@@ -1,0 +1,361 @@
+/* dklab._kernels: the compiled hot loops of dklab.
+ *
+ *   advance_verlet(x, y, f, eps, rho, dt, n_steps)
+ *       velocity-Verlet steps of the periodic Klein-Gordon chain
+ *       x_j'' = eps (x_{j+1} + x_{j-1}) - x_j - rho x_j^3, in place;
+ *       the compiled form of dklab.integrators._advance_verlet_numpy.
+ *   flow(a, abs_a, out, c0, c1, c2, g)
+ *       out = -i [c0 a + c1 (a_+ + a_-) + c2 (a_++ + a_--) + g |a|^2 a],
+ *       the dNLS stencil of dklab.dnls_models.rhs; abs_a holds |a|.
+ *   stage(a, k, out, c)
+ *       out = a + c k, an intermediate RK4 stage.
+ *   combine(a, k1, k2, k3, k4, out, c)
+ *       out = a + c (k1 + 2 k2 + 2 k3 + k4), the RK4 update.
+ *
+ * Every entry point returns True when it did the work and False, with
+ * nothing written, when its arrays are not 1-D C-contiguous native float64
+ * ("d") or complex128 ("Zd") buffers of one length, an output is read-only
+ * or overlaps another argument, or (flow) the ring has fewer than 3 sites;
+ * the caller then runs its numpy form.
+ *
+ * Every floating-point operation is the one numpy performs, in the same
+ * order, so results agree with numpy bit for bit, signs of zeros included,
+ * when built without FMA contraction (-ffp-contract=off) and without
+ * -ffast-math.  numpy multiplies a real scalar or a real array by a complex
+ * array by promoting the real factor to s + 0i, so its products carry the
+ * 0.0 * im terms that scale() writes out.  No kernel multiplies two complex
+ * arrays, and |a| comes from numpy, whose complex abs is not libm hypot.
+ * Nothing here writes to stdout or stderr.
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdint.h>
+#include <string.h>
+
+typedef struct {
+    double re, im;
+} cplx;
+
+static inline cplx
+add(cplx u, cplx v)
+{
+    cplx r = {u.re + v.re, u.im + v.im};
+    return r;
+}
+
+/* numpy's (s + 0i) * v */
+static inline cplx
+scale(double s, cplx v)
+{
+    cplx r = {s * v.re - 0.0 * v.im, s * v.im + 0.0 * v.re};
+    return r;
+}
+
+/* numpy's -1j * v, where -1j is (-0.0, -1.0) */
+static inline cplx
+times_minus_i(cplx v)
+{
+    cplx r = {-0.0 * v.re - -1.0 * v.im, -0.0 * v.im + -1.0 * v.re};
+    return r;
+}
+
+/* -- argument handling --------------------------------------------------- */
+
+#define MAX_ARRAYS 6
+
+/* Take a C-contiguous 1-D buffer of the given struct format from obj.
+ * Returns 1 on success, 0 (no exception set) when obj is not such a
+ * buffer, -1 on any other error. */
+static int
+vector(PyObject *obj, const char *format, int writable, Py_buffer *view)
+{
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
+
+    if (PyObject_GetBuffer(obj, view, flags) < 0) {
+        if (PyErr_ExceptionMatches(PyExc_BufferError)
+            || PyErr_ExceptionMatches(PyExc_ValueError)
+            || PyErr_ExceptionMatches(PyExc_TypeError)) {
+            PyErr_Clear();
+            return 0;
+        }
+        return -1;
+    }
+    if (view->ndim != 1 || strcmp(view->format, format) != 0) {
+        PyBuffer_Release(view);
+        return 0;
+    }
+    return 1;
+}
+
+static void
+release(Py_buffer *views, int count)
+{
+    for (int i = 0; i < count; i++)
+        PyBuffer_Release(&views[i]);
+}
+
+static int
+overlap(const Py_buffer *u, const Py_buffer *v)
+{
+    uintptr_t a = (uintptr_t)u->buf, b = (uintptr_t)v->buf;
+
+    return a < b + (uintptr_t)v->len && b < a + (uintptr_t)u->len;
+}
+
+/* Take args[0..count-1] as vectors of one length.  formats[i] names the
+ * struct format of argument i; a leading 'w' marks an output, which must be
+ * writeable and overlap no other argument.  Returns 1 with every view held,
+ * 0 (nothing held, no exception) when the arrays do not suit, -1 on error. */
+static int
+vectors(PyObject *const *args, int count, const char *const *formats,
+        Py_buffer *views)
+{
+    for (int i = 0; i < count; i++) {
+        int writable = formats[i][0] == 'w';
+        int got = vector(args[i], formats[i] + writable, writable, &views[i]);
+
+        if (got == 1 && views[i].shape[0] != views[0].shape[0]) {
+            PyBuffer_Release(&views[i]);
+            got = 0;
+        }
+        if (got != 1) {
+            release(views, i);
+            return got;
+        }
+    }
+    for (int i = 0; i < count; i++) {
+        if (formats[i][0] != 'w')
+            continue;
+        for (int j = 0; j < count; j++) {
+            if (j != i && overlap(&views[i], &views[j])) {
+                release(views, count);
+                return 0;
+            }
+        }
+    }
+    return 1;
+}
+
+/* Check the argument count; -1 with TypeError set when it is wrong. */
+static int
+arity(Py_ssize_t nargs, Py_ssize_t expected, const char *name)
+{
+    if (nargs == expected)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s expects %zd arguments, got %zd",
+                 name, expected, nargs);
+    return -1;
+}
+
+/* Convert count Python numbers to doubles; -1 with an exception set when
+ * one is not a number. */
+static int
+doubles(PyObject *const *args, int count, double *out)
+{
+    for (int i = 0; i < count; i++) {
+        out[i] = PyFloat_AsDouble(args[i]);
+        if (out[i] == -1.0 && PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+/* The value of a kernel whose arrays did not suit (got == 0) or that
+ * failed (got < 0). */
+static PyObject *
+declined(int got)
+{
+    if (got < 0)
+        return NULL;
+    Py_RETURN_FALSE;
+}
+
+/* -- Verlet ----------------------------------------------------------------- */
+
+static inline double
+force(double left, double centre, double right, double eps, double rho)
+{
+    /* numpy: f = x[up]; f += x[dn]; f *= eps; f -= x; f -= ((x*x)*x)*rho */
+    return ((right + left) * eps - centre) - ((centre * centre) * centre) * rho;
+}
+
+/* Each step makes two passes over the ring: the first half-kick and the
+ * drift, then the force at the new x and the second half-kick.  Sites 0 and
+ * n-1 are handled outside the inner loop, so it has no modulo. */
+static void
+verlet(double *x, double *y, double *f, Py_ssize_t n, double eps, double rho,
+       double dt, long long n_steps)
+{
+    const double half = 0.5 * dt;
+
+    if (n < 1)
+        return;
+    for (long long step = 0; step < n_steps; step++) {
+        for (Py_ssize_t i = 0; i < n; i++) {
+            y[i] += half * f[i];
+            x[i] += dt * y[i];
+        }
+        if (n == 1) {
+            f[0] = force(x[0], x[0], x[0], eps, rho);
+            y[0] += half * f[0];
+            continue;
+        }
+        f[0] = force(x[n - 1], x[0], x[1], eps, rho);
+        y[0] += half * f[0];
+        for (Py_ssize_t i = 1; i < n - 1; i++) {
+            f[i] = force(x[i - 1], x[i], x[i + 1], eps, rho);
+            y[i] += half * f[i];
+        }
+        f[n - 1] = force(x[n - 2], x[n - 1], x[0], eps, rho);
+        y[n - 1] += half * f[n - 1];
+    }
+}
+
+static PyObject *
+advance_verlet(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char *const formats[] = {"wd", "wd", "wd"};
+    Py_buffer v[MAX_ARRAYS];
+    double p[3];
+    long long n_steps;
+    int got;
+
+    if (arity(nargs, 7, "advance_verlet") < 0 || doubles(args + 3, 3, p) < 0)
+        return NULL;
+    n_steps = PyLong_AsLongLong(args[6]);
+    if (n_steps == -1 && PyErr_Occurred())
+        return NULL;
+    got = vectors(args, 3, formats, v);
+    if (got <= 0)
+        return declined(got);
+    verlet(v[0].buf, v[1].buf, v[2].buf, v[0].shape[0], p[0], p[1], p[2], n_steps);
+    release(v, 3);
+    Py_RETURN_TRUE;
+}
+
+/* -- dNLS stencil and RK4 stages ----------------------------------------- */
+
+static PyObject *
+flow(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char *const formats[] = {"Zd", "d", "wZd"};
+    Py_buffer v[MAX_ARRAYS];
+    double c[4];
+    int got;
+
+    if (arity(nargs, 7, "flow") < 0 || doubles(args + 3, 4, c) < 0)
+        return NULL;
+    got = vectors(args, 3, formats, v);
+    if (got <= 0)
+        return declined(got);
+
+    const cplx *a = v[0].buf;
+    const double *abs_a = v[1].buf;
+    cplx *out = v[2].buf;
+    const Py_ssize_t n = v[0].shape[0];
+    const double c0 = c[0], c1 = c[1], c2 = c[2], g = c[3];
+
+    if (n < 3) {
+        release(v, 3);
+        Py_RETURN_FALSE;
+    }
+    for (Py_ssize_t j = 0; j < n; j++) {
+        /* neighbor_sum(a, k) is a[j+k] + a[j-k] on the ring */
+        Py_ssize_t up = j + 1 < n ? j + 1 : j + 1 - n;
+        Py_ssize_t dn = j >= 1 ? j - 1 : j - 1 + n;
+        cplx grad = scale(c1, add(a[up], a[dn]));
+
+        /* numpy's _flow skips the c0 and c2 terms when they are zero */
+        if (c0 != 0.0)
+            grad = add(grad, scale(c0, a[j]));
+        if (c2 != 0.0) {
+            up = j + 2 < n ? j + 2 : j + 2 - n;
+            dn = j >= 2 ? j - 2 : j - 2 + n;
+            grad = add(grad, scale(c2, add(a[up], a[dn])));
+        }
+        /* g * |a|**2 is a real array, promoted to complex to multiply a */
+        grad = add(grad, scale(g * (abs_a[j] * abs_a[j]), a[j]));
+        out[j] = times_minus_i(grad);
+    }
+    release(v, 3);
+    Py_RETURN_TRUE;
+}
+
+static PyObject *
+stage(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char *const formats[] = {"Zd", "Zd", "wZd"};
+    Py_buffer v[MAX_ARRAYS];
+    double c;
+    int got;
+
+    if (arity(nargs, 4, "stage") < 0 || doubles(args + 3, 1, &c) < 0)
+        return NULL;
+    got = vectors(args, 3, formats, v);
+    if (got <= 0)
+        return declined(got);
+
+    const cplx *a = v[0].buf, *k = v[1].buf;
+    cplx *out = v[2].buf;
+
+    for (Py_ssize_t j = 0; j < v[0].shape[0]; j++)
+        out[j] = add(a[j], scale(c, k[j]));
+    release(v, 3);
+    Py_RETURN_TRUE;
+}
+
+static PyObject *
+combine(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char *const formats[] = {"Zd", "Zd", "Zd", "Zd", "Zd", "wZd"};
+    Py_buffer v[MAX_ARRAYS];
+    double c;
+    int got;
+
+    if (arity(nargs, 7, "combine") < 0 || doubles(args + 6, 1, &c) < 0)
+        return NULL;
+    got = vectors(args, 6, formats, v);
+    if (got <= 0)
+        return declined(got);
+
+    const cplx *a = v[0].buf, *k1 = v[1].buf, *k2 = v[2].buf;
+    const cplx *k3 = v[3].buf, *k4 = v[4].buf;
+    cplx *out = v[5].buf;
+
+    for (Py_ssize_t j = 0; j < v[0].shape[0]; j++) {
+        /* numpy: a + c * (((k1 + 2.0*k2) + 2.0*k3) + k4) */
+        cplx s = add(add(add(k1[j], scale(2.0, k2[j])), scale(2.0, k3[j])), k4[j]);
+        out[j] = add(a[j], scale(c, s));
+    }
+    release(v, 6);
+    Py_RETURN_TRUE;
+}
+
+/* -- module ----------------------------------------------------------------- */
+
+static PyMethodDef methods[] = {
+    {"advance_verlet", (PyCFunction)(void (*)(void))advance_verlet, METH_FASTCALL,
+     "advance_verlet(x, y, f, eps, rho, dt, n_steps) -> bool"},
+    {"flow", (PyCFunction)(void (*)(void))flow, METH_FASTCALL,
+     "flow(a, abs_a, out, c0, c1, c2, g) -> bool"},
+    {"stage", (PyCFunction)(void (*)(void))stage, METH_FASTCALL,
+     "stage(a, k, out, c) -> bool"},
+    {"combine", (PyCFunction)(void (*)(void))combine, METH_FASTCALL,
+     "combine(a, k1, k2, k3, k4, out, c) -> bool"},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernels_module = {
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "dklab._kernels",
+    .m_doc = "Compiled Verlet loop, dNLS stencil and RK4 stages of dklab.",
+    .m_size = -1,
+    .m_methods = methods,
+};
+
+PyMODINIT_FUNC
+PyInit__kernels(void)
+{
+    return PyModule_Create(&kernels_module);
+}

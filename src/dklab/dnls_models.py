@@ -18,6 +18,12 @@ reduction with nu = rho/eps resp. delta = rho/eps^2; the fast-clock model
 is the flow of the truncated resonant normal form (see
 :mod:`dklab.normal_form`).
 
+``rhs`` runs the stencil as the compiled kernel ``flow`` of the extension
+``dklab._kernels`` (built and loaded by :mod:`dklab._native`) when it is
+available and ``a`` is a contiguous complex128 vector of 3 or more sites;
+otherwise, and for ``second_derivative``, it runs the numpy ``_flow``.  Both perform the same
+operations in the same order, so they agree bit for bit.
+
 Every right-hand side conserves the squared l2 norm of the envelope, is
 equivariant under cyclic shifts, and is invariant under global phase
 rotation.  Chain-rule second derivatives are available in closed form so
@@ -32,6 +38,7 @@ from typing import Union
 
 import numpy as np
 
+from . import _native
 from .lattice_core import l2_norm, neighbor_sum, read_csv, write_csv
 
 __all__ = [
@@ -233,9 +240,20 @@ def _flow(coefficients, v: np.ndarray, cubic: np.ndarray) -> np.ndarray:
 
 def rhs(model: DnlsModel, a: np.ndarray) -> np.ndarray:
     """a' = -i [c0 a + c1 (a_+ + a_-) + c2 (a_++ + a_--) + g |a|^2 a] with
-    the model's coefficients."""
+    the model's coefficients.
+
+    Runs the compiled stencil ``flow`` of ``dklab._kernels`` on contiguous
+    complex128 vectors of 3 or more sites, else ``_flow``; both give
+    bit-identical results.  |a| is numpy's in both.
+    """
     coefficients = model.coefficients
-    return _flow(coefficients, a, coefficients[3] * np.abs(a) ** 2 * a)
+    abs_a = np.abs(a)
+    kernels = _native.kernels()
+    if kernels is not None:
+        out = np.empty(abs_a.shape, complex)
+        if kernels.flow(a, abs_a, out, *coefficients):
+            return out
+    return _flow(coefficients, a, coefficients[3] * abs_a**2 * a)
 
 
 def rhs_standard(a: np.ndarray, nu: float) -> np.ndarray:

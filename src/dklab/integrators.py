@@ -20,33 +20,28 @@ discretisation failed.
 Times in a trajectory are in the model's own clock: fast time for the chain
 and the normal-form envelope, slow time for the multiscale envelopes.
 
-The chain's step loop, ``_advance_verlet``, runs a C kernel (``_verlet.c``,
-shipped next to this file) when it can.  The kernel is compiled on first use,
-never at import, with the system ``cc -O2 -ffp-contract=off -shared -fPIC``
-into ``$XDG_CACHE_HOME/dklab/`` (default ``~/.cache/dklab/``) under a name
-keyed on the source, the flags and the machine type.  It performs the numpy
-loop's operations in the same order, so its results are bit-identical to
-``_advance_verlet_numpy``, which stays as the reference.  When there is no
-compiler, the cache cannot be written, the library does not load, or the
-arrays are not equal-length, contiguous, writeable float64 vectors, the
-numpy loop runs instead, silently.  :func:`verlet_backend` reports which of
+The chain's step loop ``_advance_verlet`` and the stage arithmetic of the
+envelope step ``_rk4_step`` run compiled kernels of the extension
+``dklab._kernels``, which :mod:`dklab._native` builds from ``_kernels.c`` on
+first use (never at import); ``dnls_models.rhs``, which ``_rk4_step`` calls
+four times per step, runs its stencil there too. The kernels perform numpy's
+operations in the same order, so their results are bit-identical to
+``_advance_verlet_numpy`` and ``_rk4_step_numpy``, which stay as the
+references. When there is no compiler, no Python headers, no writable cache,
+the extension does not import, or the arrays are not equal-length,
+contiguous, native float64 (chain) or complex128 (envelope) vectors, the
+numpy forms run instead, silently. :func:`verlet_backend` reports which of
 the two the process uses.
 """
 
 from __future__ import annotations
 
-import functools
-import hashlib
-import os
-import platform
-import shutil
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
+from . import _native
 from .errors import BlowUpError
 from .dnls_models import DnlsModel, EnvelopeState, rhs
 from .lattice_core import LatticeState, ModelParams, neighbor_sum, write_csv
@@ -125,76 +120,12 @@ def _dkg_force(x: np.ndarray, epsilon: float, rho: float) -> np.ndarray:
     return -x - rho * x**3 + epsilon * neighbor_sum(x)
 
 
-_KERNEL_SOURCE = Path(__file__).with_name("_verlet.c")
-_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-
-
-@functools.cache
-def _compiled_kernel():
-    """The C step loop of ``_verlet.c``, loaded through ctypes, or None.
-
-    Built on the first call into the cache directory.  The compiler writes a
-    temporary file that is then renamed into place, so a process never loads
-    a library another process is still writing.
-    """
-    import ctypes
-    import subprocess
-
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    if not os.path.isabs(base):  # no usable home directory: never write into the cwd
-        return None
-    cache = Path(base, "dklab")
-    try:
-        source = _KERNEL_SOURCE.read_bytes()
-        key = hashlib.sha256(
-            b"\0".join([source, " ".join(_KERNEL_FLAGS).encode(), platform.machine().encode()])
-        ).hexdigest()[:16]
-        lib = cache / f"_verlet-{key}.so"
-        if not lib.exists():
-            cc = shutil.which("cc")
-            if cc is None:
-                return None
-            cache.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-            os.close(fd)
-            try:
-                subprocess.run(
-                    [cc, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
-                    check=True, capture_output=True, timeout=120,
-                )
-                os.replace(tmp, lib)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        fn = ctypes.CDLL(str(lib)).dklab_advance_verlet
-    except (OSError, AttributeError, subprocess.SubprocessError):
-        return None
-    fn.argtypes = (
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-        ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
-    )
-    fn.restype = None
-    return fn
-
-
 def verlet_backend() -> str:
-    """``"compiled"`` when ``_advance_verlet`` runs the C kernel on float64
-    vectors in this process, ``"numpy"`` when it falls back to the numpy loop.
-    Builds the kernel if it is not built yet."""
-    return "numpy" if _compiled_kernel() is None else "compiled"
-
-
-def _kernel_accepts(x, y, f) -> bool:
-    n = len(x)
-    return all(
-        isinstance(a, np.ndarray)
-        and a.dtype == np.float64
-        and a.ndim == 1
-        and a.shape[0] == n
-        and a.flags.c_contiguous
-        and a.flags.writeable
-        for a in (x, y, f)
-    )
+    """``"compiled"`` when this process runs the compiled kernels of
+    ``dklab._kernels`` (``_advance_verlet``, ``rhs``, ``_rk4_step``),
+    ``"numpy"`` when it falls back to their numpy forms.  Builds the
+    extension if it is not built yet."""
+    return "numpy" if _native.kernels() is None else "compiled"
 
 
 def _advance_verlet(
@@ -209,14 +140,13 @@ def _advance_verlet(
     """Advance (x, y) in place by n_steps velocity-Verlet steps.
 
     ``f`` must hold the force at the incoming x and holds the force at the
-    outgoing x on return.  Runs the compiled kernel when it is available
-    and the arrays suit it, else ``_advance_verlet_numpy``; both give
-    bit-identical x, y and f.
+    outgoing x on return.  Runs the compiled ``advance_verlet`` when it is
+    available and the arrays are equal-length, contiguous, writeable native
+    float64 vectors, else ``_advance_verlet_numpy``; both give bit-identical
+    x, y and f.
     """
-    kernel = _compiled_kernel()
-    if kernel is not None and _kernel_accepts(x, y, f):
-        kernel(x.ctypes.data, y.ctypes.data, f.ctypes.data, len(x), epsilon, rho, dt, n_steps)
-    else:
+    kernels = _native.kernels()
+    if kernels is None or not kernels.advance_verlet(x, y, f, epsilon, rho, dt, n_steps):
         _advance_verlet_numpy(x, y, f, epsilon, rho, dt, n_steps)
 
 
@@ -257,6 +187,35 @@ def _advance_verlet_numpy(
 
 
 def _rk4_step(a: np.ndarray, fun, h: float) -> np.ndarray:
+    """One classical RK4 step of a' = fun(a); ``fun`` is called four times.
+
+    The stage arithmetic runs in the compiled ``stage``/``combine`` on
+    contiguous complex128 vectors, else in numpy as in ``_rk4_step_numpy``;
+    both give bit-identical results.
+    """
+    kernels = _native.kernels()
+    if kernels is None:
+        return _rk4_step_numpy(a, fun, h)
+    k1 = fun(a)
+    k2 = fun(_rk4_stage(kernels, a, k1, 0.5 * h))
+    k3 = fun(_rk4_stage(kernels, a, k2, 0.5 * h))
+    k4 = fun(_rk4_stage(kernels, a, k3, h))
+    out = np.empty(np.shape(a), complex)
+    if kernels.combine(a, k1, k2, k3, k4, out, h / 6.0):
+        return out
+    return a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_stage(kernels, a: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
+    out = np.empty(np.shape(a), complex)
+    if kernels.stage(a, k, out, c):
+        return out
+    return a + c * k
+
+
+def _rk4_step_numpy(a: np.ndarray, fun, h: float) -> np.ndarray:
+    """The numpy form of ``_rk4_step``, and the reference its compiled stage
+    arithmetic must match bit for bit."""
     k1 = fun(a)
     k2 = fun(a + (0.5 * h) * k1)
     k3 = fun(a + (0.5 * h) * k2)

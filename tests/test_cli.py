@@ -301,12 +301,17 @@ class TestJustifyCommands:
 
     @pytest.mark.filterwarnings("ignore:envelope magnitude")
     def test_outputs_without_compiler_match_compiled(self, tmp_path, capsys):
-        # a process that finds no cc and no cached kernel runs the numpy
-        # Verlet loop; its files must equal this process's byte for byte
+        # a process that finds no cc and no cached extension runs the numpy
+        # Verlet loop, stencil and RK4 stages; its files must equal this
+        # process's byte for byte
         commands = {
             "justify": ["justify", "--sweep", "0.1,0.09,0.08", "--n", "16", "--tau0", "0.05",
                         "--dt", "5e-3", "--stride", "10"],
             "dkg": ["simulate-dkg", "--n", "64", "--t-end", "2"],
+            "dnls-generalized": ["simulate-dnls", "--model", "generalized", "--n", "16",
+                                 "--t-end", "1"],
+            "dnls-normalform": ["simulate-dnls", "--model", "normalform", "--epsilon", "0.2",
+                                "--n", "16", "--t-end", "1"],
         }
         script = (
             "import sys\n"

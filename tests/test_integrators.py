@@ -1,13 +1,17 @@
 """Verlet and RK4 steppers, trajectory driver, blow-up guard."""
 
+import os
 import shutil
+import subprocess
+import sys
+import sysconfig
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dklab import integrators
-from dklab.dnls_models import EnvelopeState, StandardDnls, l2_conserved
+from dklab import _native, dnls_models, integrators
+from dklab.dnls_models import EnvelopeState, GeneralizedDnls, StandardDnls, l2_conserved
 from dklab.errors import BlowUpError
 from dklab.integrators import (
     IntegratorConfig,
@@ -26,23 +30,42 @@ def single_site_state(n_sites, x0, y0=0.0):
     return LatticeState(x, y)
 
 
+def needs_cc_and_headers():
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    if not Path(sysconfig.get_paths()["include"], "Python.h").exists():
+        pytest.skip("no Python.h for this interpreter")
+
+
+def prepare(layout, v):
+    """v in a layout the compiled kernels decline: a strided view, the
+    big-endian dtype, or single precision."""
+    if layout == "strided":
+        out = np.zeros(2 * len(v), v.dtype)[::2]
+        out[:] = v
+        return out
+    if layout == "big-endian":
+        return v.astype(v.dtype.newbyteorder(">"))
+    return v.astype(np.complex64 if v.dtype.kind == "c" else np.float32)
+
+
 def duffing_reference(x0, v0, rho, t_end, dt=1e-6):
     """Independent scalar oracle: classical RK4 at a tiny fixed step on
-    x'' = -x - rho x^3 (an uncoupled site of the chain)."""
+    x'' = -x - rho x^3 (an uncoupled site of the chain), on Python floats."""
     steps = int(round(t_end / dt))
 
-    def f(state):
-        x, v = state
-        return np.array([v, -x - rho * x**3])
+    def f(x, v):
+        return v, -x - rho * x**3
 
-    s = np.array([x0, v0])
+    x, v = x0, v0
     for _ in range(steps):
-        k1 = f(s)
-        k2 = f(s + 0.5 * dt * k1)
-        k3 = f(s + 0.5 * dt * k2)
-        k4 = f(s + dt * k3)
-        s = s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return s
+        k1x, k1v = f(x, v)
+        k2x, k2v = f(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
+        k3x, k3v = f(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
+        k4x, k4v = f(x + dt * k3x, v + dt * k3v)
+        x = x + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+    return x, v
 
 
 class TestIntegratorConfig:
@@ -143,17 +166,8 @@ class TestVerletKernel:
     def test_unsuitable_arrays_take_numpy_path(self, layout, monkeypatch):
         # the C kernel takes only contiguous native float64 vectors
         rng = np.random.default_rng(9)
-        x0 = 0.5 * rng.standard_normal(33)
-        y0 = 0.5 * rng.standard_normal(33)
-        if layout == "strided":
-            def prepare(v):
-                out = np.zeros(2 * len(v))[::2]
-                out[:] = v
-                return out
-        else:
-            def prepare(v):
-                return v.astype(">f8")
-        x, y = prepare(x0), prepare(y0)
+        x = prepare(layout, 0.5 * rng.standard_normal(33))
+        y = prepare(layout, 0.5 * rng.standard_normal(33))
         f = integrators._dkg_force(x, 0.1, 0.4)
         xr, yr, fr = (v.copy() for v in (x, y, f))
         integrators._advance_verlet_numpy(xr, yr, fr, 0.1, 0.4, 1e-2, 50)
@@ -171,30 +185,103 @@ class TestVerletKernel:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("layout", ["strided", "big-endian", "complex64"])
+    def test_unsuitable_envelopes_take_numpy_path(self, layout, monkeypatch):
+        # rhs and the RK4 stages take only contiguous native complex128 vectors
+        rng = np.random.default_rng(10)
+        a = prepare(layout, 0.5 * (rng.standard_normal(33) + 1j * rng.standard_normal(33)))
+        model = GeneralizedDnls(0.7, 0.1)
+        c = model.coefficients
+        want_rhs = dnls_models._flow(c, a, c[3] * np.abs(a) ** 2 * a)
+        fun = lambda z: dnls_models.rhs(model, z)  # noqa: E731
+        want_step = integrators._rk4_step_numpy(a, fun, 1e-2)
+
+        calls = []
+        numpy_flow = dnls_models._flow
+        monkeypatch.setattr(
+            dnls_models, "_flow", lambda *args: calls.append(1) or numpy_flow(*args)
+        )
+        got_rhs = dnls_models.rhs(model, a)
+        assert calls == [1]
+        got_step = integrators._rk4_step(a, fun, 1e-2)
+        for got, want in ((got_rhs, want_rhs), (got_step, want_step)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_short_rings_defer_to_numpy(self, n):
+        # below 3 sites the stencil's periodic neighbours repeat; the kernel
+        # leaves such rings to numpy, which raises where it always raised
+        a = np.arange(1, n + 1) * (0.3 + 0.2j)
+        model = StandardDnls(0.5)
+        c = model.coefficients
+        want = dnls_models._flow(c, a, c[3] * np.abs(a) ** 2 * a)
+        assert np.array_equal(dnls_models.rhs(model, a), want)
+        if n == 1:
+            with pytest.raises(ValueError):
+                dnls_models.rhs(GeneralizedDnls(0.5, 0.1), a)
+
     def test_loader_builds_with_cc_and_gives_none_on_unusable_cache(self, tmp_path, monkeypatch):
-        if shutil.which("cc") is None:
-            pytest.skip("no cc on PATH")
-        load = integrators._compiled_kernel.__wrapped__  # bypass the per-process cache
+        needs_cc_and_headers()
+        include = sysconfig.get_paths()["include"]
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "built"))
-        assert load() is not None
+        built = _native.kernels.__wrapped__()  # bypass the per-process cache
+        assert built is not None
+        assert {"advance_verlet", "flow", "stage", "combine"} <= set(vars(built))
         (name,) = (p.name for p in (tmp_path / "built" / "dklab").iterdir())
+        assert name.startswith("_kernels-")
+        assert name.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
 
         blocker = tmp_path / "file"
         blocker.write_text("")
-        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-        assert load() is None
+        assert _native.load(blocker / "dklab", include) is None
 
-        corrupt = tmp_path / "corrupt" / "dklab"
-        corrupt.mkdir(parents=True)
+        corrupt = tmp_path / "corrupt"
+        corrupt.mkdir()
         (corrupt / name).write_bytes(b"not a shared library")
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "corrupt"))
-        assert load() is None
+        assert _native.load(corrupt, include) is None
+
+        # the include path enters the library's name, so hidden headers
+        # mean a fresh build, which fails without Python.h
+        empty = tmp_path / "no-headers"
+        empty.mkdir()
+        assert _native.load(tmp_path / "hidden", str(empty)) is None
+
+    def test_first_build_prints_nothing(self, tmp_path):
+        # the build must leave stdout to the caller: a benchmark or a script
+        # that reads this process's last line must see only its own output
+        needs_cc_and_headers()
+        src = str(Path(integrators.__file__).resolve().parent.parent)
+        env = dict(
+            os.environ,
+            XDG_CACHE_HOME=str(tmp_path / "cache"),
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from dklab import integrators; print(integrators.verlet_backend())"],
+            env=env, capture_output=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"compiled\n"
+        (lib,) = (tmp_path / "cache" / "dklab").iterdir()  # no temporary file left
+        assert lib.name.startswith("_kernels-")
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        needs_cc_and_headers()
+        include = sysconfig.get_paths()["include"]
+        proc = subprocess.run(
+            ["cc", *_native.FLAGS, "-Wall", "-Wextra", "-Werror", f"-I{include}",
+             "-o", str(tmp_path / "kernels.so"), str(_native.SOURCE)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_source_ships_next_to_module(self):
-        # an installed package builds the kernel from its own copy of the source
-        source = integrators._KERNEL_SOURCE
-        assert source == Path(integrators.__file__).with_name("_verlet.c")
-        assert "dklab_advance_verlet" in source.read_text()
+        # an installed package builds the kernels from its own copy of the source
+        source = _native.SOURCE
+        assert source == Path(integrators.__file__).with_name("_kernels.c")
+        assert "PyInit__kernels" in source.read_text()
 
 
 class TestRk4Step:

@@ -4,8 +4,10 @@ They complement the hand-picked cases in test_dnls_models.py and
 test_lattice_core.py: the periodic pair sum against its np.roll
 definition, the shift equivariance, phase equivariance and norm
 conservation of every envelope right-hand side, the CSV and JSON
-round trips of the chain and envelope states, and the chain's Verlet
-kernel: bit-identical to its numpy reference and time-reversible.
+round trips of the chain and envelope states, the identity of the direct
+and expanded residuals, and the compiled kernels: the chain's Verlet loop,
+the envelope stencil and the RK4 step, each bit-identical to its numpy
+reference, and the Verlet loop time-reversible.
 """
 
 import json
@@ -18,8 +20,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dklab.dnls_models import EnvelopeState, GeneralizedDnls, NormalFormDnls, StandardDnls, rhs
-from dklab.integrators import _advance_verlet, _advance_verlet_numpy, _dkg_force, verlet_backend
+from dklab.approximation import residual_direct, residual_expanded
+from dklab.dnls_models import (
+    EnvelopeState,
+    GeneralizedDnls,
+    NormalFormDnls,
+    StandardDnls,
+    _flow,
+    rhs,
+)
+from dklab.integrators import (
+    _advance_verlet,
+    _advance_verlet_numpy,
+    _dkg_force,
+    _rk4_step,
+    _rk4_step_numpy,
+    verlet_backend,
+)
 from dklab.lattice_core import LatticeState, neighbor_sum, read_csv
 
 odd_lengths = st.integers(min_value=1, max_value=40).map(lambda m: 2 * m + 1)
@@ -59,6 +76,27 @@ def _scale(model, a):
     return (abs(c0) + 2 * abs(c1) + 2 * abs(c2)) * amax + abs(g) * amax**3 + 1e-300
 
 
+@st.composite
+def raw_envelopes(draw):
+    """Envelopes of 3..81 sites at a magnitude from 1e-15 to 1e2, with
+    entries of -0.0 and of zero imaginary part."""
+    n = draw(odd_lengths.filter(lambda m: m >= 3))
+    signed = components | st.sampled_from([0.0, -0.0])
+    scale = draw(st.sampled_from([1e-15, 1e-8, 1e-3, 1.0, 10.0, 1e2]))
+    a = np.empty(n, complex)  # set part by part: complex arithmetic would flip -0.0
+    a.real = scale * draw(hnp.arrays(np.float64, n, elements=signed))
+    a.imag = scale * draw(hnp.arrays(np.float64, n, elements=signed) | st.just(np.zeros(n)))
+    return a
+
+
+def _same_bits(u, v):
+    return (
+        u.dtype == v.dtype
+        and np.array_equal(u.view(float), v.view(float))
+        and np.array_equal(np.signbit(u.view(float)), np.signbit(v.view(float)))
+    )
+
+
 @given(v=real_vectors | envelopes(), k=st.sampled_from([1, 2]))
 def test_neighbor_sum_matches_roll(v, k):
     assert np.array_equal(neighbor_sum(v, k), np.roll(v, -k) + np.roll(v, k))
@@ -83,6 +121,23 @@ def test_rhs_conserves_norm(model, a):
     # d/dt ||a||^2 = 2 Re <a, a'> vanishes for every model
     rate = float(np.sum(np.real(np.conj(a) * rhs(model, a))))
     assert abs(rate) <= 1e-13 * len(a) * float(np.max(np.abs(a))) * _scale(model, a)
+
+
+@given(a=envelopes(), regime=st.sampled_from(["standard", "generalized"]),
+       epsilon=st.floats(min_value=1e-3, max_value=0.49), ratio=unit,
+       t=st.floats(min_value=0.0, max_value=20.0))
+def test_residual_direct_equals_expanded(a, regime, epsilon, ratio, t):
+    # rho = nu eps (standard) or delta eps^2 (generalized), with nu, delta
+    # in (0, 1]; the tolerance is test_approximation's TestResidualIdentity's
+    if regime == "standard":
+        rho = ratio * epsilon
+        model = StandardDnls(rho / epsilon)
+    else:
+        rho = ratio * epsilon**2
+        model = GeneralizedDnls(rho / epsilon**2, epsilon)
+    d = residual_direct(a, model, epsilon, rho, t)
+    e = residual_expanded(a, model, epsilon, rho, t)
+    assert np.max(np.abs(d - e)) <= 1e-11 * max(1.0, np.max(np.abs(a)) ** 3)
 
 
 # every finite float, with signed zero, subnormals and +-1e308 always drawn
@@ -163,6 +218,21 @@ def test_compiled_verlet_matches_numpy(run):
     _advance_verlet_numpy(*reference, *params)
     for a, b in zip(compiled, reference):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.skipif(verlet_backend() == "numpy", reason="no compiled kernels here")
+@given(model=models, a=raw_envelopes())
+def test_compiled_rhs_matches_numpy(model, a):
+    c = model.coefficients
+    assert _same_bits(rhs(model, a), _flow(c, a, c[3] * np.abs(a) ** 2 * a))
+
+
+@pytest.mark.skipif(verlet_backend() == "numpy", reason="no compiled kernels here")
+@given(model=models, a=raw_envelopes(),
+       h=st.floats(min_value=1e-4, max_value=0.1) | st.floats(min_value=-0.1, max_value=-1e-4))
+def test_compiled_rk4_step_matches_numpy(model, a, h):
+    fun = lambda z: rhs(model, z)  # noqa: E731
+    assert _same_bits(_rk4_step(a, fun, h), _rk4_step_numpy(a, fun, h))
 
 
 @given(run=chains())
