@@ -273,7 +273,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _non_finite(value) -> bool:
+    """True when a parsed option value is, or holds, a non-finite float."""
+    if isinstance(value, dict):  # --seed-sites
+        value = list(value.values())
+    if isinstance(value, list):  # --sweep
+        return any(map(_non_finite, value))
+    return isinstance(value, float) and not math.isfinite(value)
+
+
 def _validate(command: str, params: dict) -> None:
+    for name, value in params.items():
+        if _non_finite(value):
+            raise _CliError(f"--{name.replace('_', '-')} {value} must be finite")
     eps = params.get("epsilon")
     if eps is not None and command != "thresholds" and not (0.0 < eps < 0.5):
         raise _CliError(

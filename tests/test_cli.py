@@ -54,6 +54,21 @@ class TestParsing:
         assert code == 1
         assert "regime" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("command,flag", [
+        ("simulate-dkg", "--t-end"),
+        ("simulate-dnls", "--t-end"),
+        ("justify", "--tau0"),
+        ("justify-extended", "--big-a"),
+    ])
+    def test_non_finite_option_rejected(self, command, flag, value, capsys):
+        # a non-finite horizon used to reach int(round(t_end / dt)) and end
+        # in an OverflowError or ValueError traceback
+        code, _, err = run_cli([command, flag, value], capsys)
+        assert code == 1
+        assert f"{flag} {value} must be finite" in err
+        assert "Traceback" not in err
+
     def test_unknown_flag_rejected(self, capsys):
         code, _, err = run_cli(["justify", "--frobnicate", "1"], capsys)
         assert code == 1
@@ -262,17 +277,16 @@ class TestJustifyCommands:
         assert read_dir_bytes(d1) == read_dir_bytes(d2)
 
     @pytest.mark.filterwarnings("ignore:envelope magnitude")
-    def test_sweep_parallel_matches_serial(self, tmp_path, capsys, monkeypatch):
+    def test_sweep_alias_matches_justify_sweep(self, tmp_path, capsys):
         args = ["--sweep", "0.1,0.09,0.08", "--n", "16", "--tau0", "0.05",
                 "--dt", "5e-3", "--stride", "10", "--svg"]
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        code, _, _ = run_cli(["justify"] + args + ["--out", str(serial)], capsys)
+        justify, alias = tmp_path / "justify", tmp_path / "sweep"
+        code, _, _ = run_cli(["justify"] + args + ["--out", str(justify)], capsys)
         assert code == 0
-        monkeypatch.setenv("DKLAB_WORKERS", "3")
-        code, _, _ = run_cli(["sweep"] + args + ["--out", str(parallel)], capsys)
+        code, _, _ = run_cli(["sweep"] + args + ["--out", str(alias)], capsys)
         assert code == 0
-        b_serial = read_dir_bytes(serial)
-        b_parallel = read_dir_bytes(parallel)
+        b_justify = read_dir_bytes(justify)
+        b_alias = read_dir_bytes(alias)
         # the config hash differs (different command name); compare payloads
         def strip(blobs):
             return {
@@ -281,23 +295,20 @@ class TestJustifyCommands:
                 )
                 for name, blob in blobs.items()
             }
-        assert strip(b_serial) == strip(b_parallel)
-        assert "sweep.svg" in b_serial
-        slope = json.loads((serial / "summary.json").read_text())["slope"]
+        assert strip(b_justify) == strip(b_alias)
+        assert "sweep.svg" in b_justify
+        slope = json.loads((justify / "summary.json").read_text())["slope"]
         assert np.isfinite(slope)
 
     @pytest.mark.filterwarnings("ignore:envelope magnitude")
-    def test_sweep_worker_count_does_not_change_bytes(self, tmp_path, capsys, monkeypatch):
-        # same command, different pool sizes: outputs identical to the byte,
-        # config hashes included (the worker count is environment, not config)
+    def test_sweep_rerun_gives_identical_bytes(self, tmp_path, capsys):
+        # the same sweep twice: outputs identical to the byte, config hashes included
         args = ["sweep", "--sweep", "0.1,0.09,0.08", "--n", "16", "--tau0", "0.05",
                 "--dt", "5e-3", "--stride", "10"]
-        one, many = tmp_path / "w1", tmp_path / "w3"
-        monkeypatch.setenv("DKLAB_WORKERS", "1")
-        assert run_cli(args + ["--out", str(one)], capsys)[0] == 0
-        monkeypatch.setenv("DKLAB_WORKERS", "3")
-        assert run_cli(args + ["--out", str(many)], capsys)[0] == 0
-        assert read_dir_bytes(one) == read_dir_bytes(many)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli(args + ["--out", str(first)], capsys)[0] == 0
+        assert run_cli(args + ["--out", str(second)], capsys)[0] == 0
+        assert read_dir_bytes(first) == read_dir_bytes(second)
 
     @pytest.mark.filterwarnings("ignore:envelope magnitude")
     def test_outputs_without_compiler_match_compiled(self, tmp_path, capsys):
@@ -308,6 +319,8 @@ class TestJustifyCommands:
             "justify": ["justify", "--sweep", "0.1,0.09,0.08", "--n", "16", "--tau0", "0.05",
                         "--dt", "5e-3", "--stride", "10"],
             "dkg": ["simulate-dkg", "--n", "64", "--t-end", "2"],
+            # 1201 sites: the compiled Verlet loop runs three strips
+            "dkg-strips": ["simulate-dkg", "--n", "600", "--t-end", "1"],
             "dnls-generalized": ["simulate-dnls", "--model", "generalized", "--n", "16",
                                  "--t-end", "1"],
             "dnls-normalform": ["simulate-dnls", "--model", "normalform", "--epsilon", "0.2",

@@ -277,6 +277,36 @@ class TestVerletKernel:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_default_clone_matches_dispatched(self, tmp_path, monkeypatch):
+        # on an AVX2 CPU the loader picks the Verlet loop's AVX2 clone; a
+        # build of the source without the target_clones line runs the plain
+        # loop, which must give the same bits, signs of zeros included
+        needs_cc_and_headers()
+        dispatched = _native.kernels()
+        if dispatched is None:
+            pytest.skip("the extension does not build here")
+        lines = _native.SOURCE.read_text().splitlines(keepends=True)
+        plain = [line for line in lines if "__attribute__((target_clones" not in line]
+        assert len(plain) == len(lines) - 1
+        source = tmp_path / "_kernels.c"
+        source.write_text("".join(plain))
+        monkeypatch.setattr(_native, "SOURCE", source)
+        default = _native.load(tmp_path / "cache", sysconfig.get_paths()["include"])
+        assert default is not None
+
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 511, 514, 1025, 4099):
+            x, y = rng.uniform(-1.0, 1.0, (2, n))
+            x[rng.random(n) < 0.05] = -0.0
+            y[rng.random(n) < 0.05] = -0.0
+            f = integrators._dkg_force(x, 0.1, 0.3)
+            runs = [[x.copy(), y.copy(), f.copy()] for _ in range(2)]
+            assert dispatched.advance_verlet(*runs[0], 0.1, 0.3, 0.05, 40)
+            assert default.advance_verlet(*runs[1], 0.1, 0.3, 0.05, 40)
+            for a, b in zip(*runs):
+                assert np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a), np.signbit(b))
+
     def test_source_ships_next_to_module(self):
         # an installed package builds the kernels from its own copy of the source
         source = _native.SOURCE

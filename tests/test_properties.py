@@ -12,6 +12,7 @@ reference, and the Verlet loop time-reversible.
 
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dklab import _native
 from dklab.approximation import residual_direct, residual_expanded
 from dklab.dnls_models import (
     EnvelopeState,
@@ -201,6 +203,10 @@ def chains(draw):
     n = draw(st.integers(min_value=1, max_value=81))
     x = draw(hnp.arrays(np.float64, n, elements=st.floats(min_value=-1.0, max_value=1.0)))
     y = draw(hnp.arrays(np.float64, n, elements=st.floats(min_value=-1.0, max_value=1.0)))
+    return _verlet_run(draw, x, y)
+
+
+def _verlet_run(draw, x, y):
     epsilon = draw(st.floats(min_value=1e-3, max_value=0.49))
     rho = draw(unit)
     dt = draw(st.floats(min_value=1e-3, max_value=0.1)) * draw(st.sampled_from([1.0, -1.0]))
@@ -208,8 +214,27 @@ def chains(draw):
     return x, y, _dkg_force(x, epsilon, rho), epsilon, rho, dt, n_steps
 
 
+# sites per strip of the compiled Verlet loop
+STRIP = int(re.search(r"^#define STRIP (\d+)$", _native.SOURCE.read_text(), re.M).group(1))
+
+
+@st.composite
+def strip_chains(draw):
+    """Like chains(), at the lengths where the compiled Verlet loop's strips
+    end: STRIP - 1 .. STRIP + 3 and 2 STRIP + 1 sites (the interior sites
+    1..n-2 fill whole strips or spill into the next), with entries of -0.0.
+    The entries come from a drawn seed: hypothesis cannot draw a thousand
+    floats per example."""
+    n = draw(st.sampled_from([STRIP - 1, STRIP, STRIP + 1, STRIP + 2, STRIP + 3, 2 * STRIP + 1]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x, y = rng.uniform(-1.0, 1.0, (2, n))
+    x[rng.random(n) < 0.05] = -0.0
+    y[rng.random(n) < 0.05] = -0.0
+    return _verlet_run(draw, x, y)
+
+
 @pytest.mark.skipif(verlet_backend() == "numpy", reason="no compiled Verlet kernel here")
-@given(run=chains())
+@given(run=chains() | strip_chains())
 def test_compiled_verlet_matches_numpy(run):
     x, y, f, *params = run
     compiled = [x.copy(), y.copy(), f.copy()]
@@ -217,7 +242,7 @@ def test_compiled_verlet_matches_numpy(run):
     _advance_verlet(*compiled, *params)
     _advance_verlet_numpy(*reference, *params)
     for a, b in zip(compiled, reference):
-        assert np.array_equal(a, b)
+        assert _same_bits(a, b)
 
 
 @pytest.mark.skipif(verlet_backend() == "numpy", reason="no compiled kernels here")
