@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import RegimeError
 from .dnls_models import DnlsModel, GeneralizedDnls, StandardDnls, rhs, second_derivative
-from .integrators import _advance_verlet, _check_sane, _dkg_force, _rk4_step
+from .integrators import _advance_verlet, _check_sane, _dkg_force, _rk4_step, step_count
 from .lattice_core import l2_norm, neighbor_sum, write_csv
 
 __all__ = [
@@ -377,6 +377,7 @@ class JustificationConfig:
             )
         if len(self.a0) != 0 and (len(self.a0) % 2 == 0 or len(self.a0) < 3):
             raise RegimeError("a0 must have odd length >= 3")
+        step_count(self.t_end, self.dt)
 
     def _make_model(self) -> DnlsModel:
         if self.regime == "standard":
@@ -474,7 +475,7 @@ def run_justification(config: JustificationConfig) -> JustificationReport:
     _check_sane((x, y, a), 0.0, initial=True)
     f = _dkg_force(x, eps, rho)
 
-    n_steps = max(1, int(round(config.t_end / dt)))
+    n_steps = step_count(config.t_end, dt)
     stride = config.sample_stride
     fun = lambda z: rhs(model, z)  # noqa: E731
 

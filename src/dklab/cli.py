@@ -19,6 +19,13 @@ soliton           Newton-solve a stationary envelope profile
 breather-return   period-return errors of the constructed breather
 sweep             alias of ``justify --sweep``
 
+``justify``, ``sweep`` and ``justify-extended`` share their options and
+build every run through ``_justify_config``; ``justify-extended`` adds
+``--alpha``, ``--big-a`` and ``--c-const``, the other two ``--sweep``,
+``--c0-scale`` and ``--svg``.  ``--sweep`` takes distinct eps values and no
+``--rho``.  A horizon of more than ``integrators.MAX_STEPS`` steps is refused
+before the chain is integrated.
+
 Configuration values may come from a flat key-value file (``--config``,
 lines of ``name = value`` with ``#`` comments, names matching the long
 option names); explicit command-line flags override file values.
@@ -30,6 +37,7 @@ requested bound check did not hold.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -136,7 +144,7 @@ def _float_list(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise _CliError(f"expected a comma-separated float list, got {text!r}") from exc
+        raise _CliError(f"--sweep expects a comma-separated float list, got {text!r}") from exc
 
 
 def _seed_sites(text: str) -> dict[int, float]:
@@ -192,51 +200,40 @@ def _build_parser() -> _Parser:
     p.add_argument("--omega-s", type=float, default=1.5)
     _add_common(p)
 
-    for name in ("justify", "sweep"):
-        p = sub.add_parser(
-            name,
-            help="error-scaling experiment" if name == "justify"
-            else "alias of justify --sweep",
-        )
+    for name, help_text in (
+        ("justify", "error-scaling experiment"),
+        ("sweep", "alias of justify --sweep"),
+        ("justify-extended", "extended-horizon error bound check"),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--epsilon", type=float, default=0.05)
-        p.add_argument("--sweep", type=_float_list, default=None,
-                       help="comma-separated eps values (overrides --epsilon)")
         p.add_argument("--regime", choices=("standard", "generalized"), default="standard")
         p.add_argument("--rho-rule", choices=("eps", "eps2"), default=None,
                        help="rho = eps or eps^2 (default matches the regime)")
         p.add_argument("--rho", type=float, default=None,
                        help="explicit rho (single-eps runs only)")
         p.add_argument("--n", type=int, default=64)
-        p.add_argument("--tau0", type=float, default=1.0)
+        p.add_argument("--tau0", type=float, default=1.0,
+                       help="plain horizon tau0/rho (justify-extended measures C on it)")
         p.add_argument("--dt", type=float, default=1e-3)
         p.add_argument("--stride", type=int, default=100)
         p.add_argument("--omega-s", type=float, default=1.5)
         p.add_argument("--amplitude-scale", type=float, default=1.0,
                        help="scale applied to the unit-nonlinearity soliton profile")
         p.add_argument("--a0", choices=("soliton", "onehot"), default="soliton")
-        p.add_argument("--c0-scale", type=float, default=0.0,
-                       help="initial chain perturbation in units of the error scale")
-        p.add_argument("--svg", action="store_true", help="emit a log-log SVG plot")
+        if name == "justify-extended":
+            p.add_argument("--alpha", type=float, default=0.5)
+            p.add_argument("--big-a", type=float, default=0.5, help="horizon constant A")
+            p.add_argument("--c-const", type=float, default=None,
+                           help="reference constant C; measured from a plain-horizon run "
+                                "if omitted")
+        else:
+            p.add_argument("--sweep", type=_float_list, default=None,
+                           help="comma-separated distinct eps values (overrides --epsilon)")
+            p.add_argument("--c0-scale", type=float, default=0.0,
+                           help="initial chain perturbation in units of the error scale")
+            p.add_argument("--svg", action="store_true", help="emit a log-log SVG plot")
         _add_common(p)
-
-    p = sub.add_parser("justify-extended", help="extended-horizon error bound check")
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--regime", choices=("standard", "generalized"), default="standard")
-    p.add_argument("--rho-rule", choices=("eps", "eps2"), default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--big-a", type=float, default=0.5, help="horizon constant A")
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--tau0", type=float, default=1.0,
-                   help="plain horizon used when measuring the reference constant")
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--stride", type=int, default=100)
-    p.add_argument("--omega-s", type=float, default=1.5)
-    p.add_argument("--amplitude-scale", type=float, default=1.0)
-    p.add_argument("--a0", choices=("soliton", "onehot"), default="soliton")
-    p.add_argument("--c-const", type=float, default=None,
-                   help="reference constant C; measured from a plain-horizon run if omitted")
-    _add_common(p)
 
     p = sub.add_parser("normalform", help="square-root coefficients and decay table")
     p.add_argument("--epsilon", type=float, default=0.1)
@@ -305,23 +302,19 @@ def _validate(command: str, params: dict) -> None:
     if params.get("n") is not None and params["n"] < 1:
         raise _CliError("--n must be a positive integer")
     if command in ("justify", "sweep", "justify-extended"):
-        horizon = "T0" if command != "justify-extended" else "T0star"
-        for e in params.get("sweep") or [params["epsilon"]]:
-            cfg = approximation.JustificationConfig(
-                epsilon=e,
-                rho=_rho_for(params, e),
-                a0=np.zeros(3, dtype=complex),
-                regime=params["regime"],
-                horizon=horizon,
-                tau0=params.get("tau0", 1.0),
-                big_a=params.get("big_a", 0.5),
-                alpha=params.get("alpha", 0.5),
-                dt=params["dt"],
-                sample_stride=params["stride"],
-            )
+        sweep = params.get("sweep")
+        if sweep is not None:
+            if not sweep:
+                raise _CliError("--sweep needs at least one eps value")
+            if len(set(sweep)) < len(sweep):
+                raise _CliError(f"--sweep {sweep} repeats an eps value")
+            if params["rho"] is not None:
+                raise _CliError("--sweep takes no --rho (single-eps runs only); use --rho-rule")
+        horizon = "T0star" if command == "justify-extended" else "T0"
+        for e in sweep or [params["epsilon"]]:
             try:
-                cfg.validate()
-            except RegimeError as exc:
+                _justify_config(params, e, 0, np.zeros(3, dtype=complex), horizon).validate()
+            except ValueError as exc:
                 raise _CliError(str(exc)) from exc
     if command == "soliton" and abs(params["omega_s"]) <= 1.0:
         raise _CliError(
@@ -458,8 +451,17 @@ def _soliton_envelope(params: dict, n_half: int) -> np.ndarray:
 # -- subcommand bodies ----------------------------------------------------------
 
 
+def _write_run(cfg: ExperimentConfig, traj: integrators.Trajectory, summary: dict) -> None:
+    cfg.outdir.mkdir(parents=True, exist_ok=True)
+    traj.write_csv(cfg.outdir / "trajectory.csv", cfg.config_hash)
+    _write_json(cfg.outdir / "final_state.json", traj.final.to_json_dict(), cfg.config_hash)
+    traj.final.write_csv(cfg.outdir / "final_state.csv", f"config_hash={cfg.config_hash}")
+    _write_json(cfg.outdir / "summary.json", summary, cfg.config_hash)
+
+
 def _cmd_simulate_dkg(cfg: ExperimentConfig) -> int:
     p = cfg.params
+    icfg = integrators.IntegratorConfig(p["dt"], p["t_end"], p["stride"])
     mp = ModelParams(p["epsilon"], p["rho"], p["n"])
     if p["init"] == "breather":
         profile = solitons.solve_soliton(p["omega_s"], p["rho"] / p["epsilon"], p["n"])
@@ -476,7 +478,6 @@ def _cmd_simulate_dkg(cfg: ExperimentConfig) -> int:
             p["amplitude"] * rng.standard_normal(mp.n_sites),
             p["amplitude"] * rng.standard_normal(mp.n_sites),
         )
-    icfg = integrators.IntegratorConfig(p["dt"], p["t_end"], p["stride"], "verlet")
     observers = [
         lambda t, s: {
             "energy": energy_dkg(s, mp.epsilon, mp.rho),
@@ -484,46 +485,31 @@ def _cmd_simulate_dkg(cfg: ExperimentConfig) -> int:
             "norm_y": l2_norm(s.y),
         }
     ]
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    states_fh = None
-    last = {"state": state0}
-    if p["save_states"]:
-        states_fh = open(cfg.outdir / "states.jsonl", "w")
-        states_fh.write(json.dumps({"config_hash": cfg.config_hash}) + "\n")
+    with contextlib.ExitStack() as stack:
+        if p["save_states"]:
+            cfg.outdir.mkdir(parents=True, exist_ok=True)
+            states = stack.enter_context(open(cfg.outdir / "states.jsonl", "w"))
+            states.write(json.dumps({"config_hash": cfg.config_hash}) + "\n")
 
-    def sink(t, state, diag):  # noqa: ANN001
-        last["state"] = state
-        if states_fh is not None:
-            states_fh.write(json.dumps(state.to_json_dict()) + "\n")
+            def stream(t, state):
+                states.write(json.dumps(state.to_json_dict()) + "\n")
+                return {}
 
-    try:
-        traj = integrators.integrate(
-            state0, mp, icfg, observers, keep_snapshots=False, sample_sink=sink
-        )
-    finally:
-        if states_fh is not None:
-            states_fh.close()
-    traj.write_csv(cfg.outdir / "trajectory.csv", cfg.config_hash)
-    _write_json(cfg.outdir / "final_state.json", last["state"].to_json_dict(), cfg.config_hash)
-    last["state"].write_csv(cfg.outdir / "final_state.csv", f"config_hash={cfg.config_hash}")
-    drift = float(
-        np.max(np.abs(traj.diagnostics["energy"] - traj.diagnostics["energy"][0]))
-    )
-    _write_json(
-        cfg.outdir / "summary.json",
-        {
-            "t_end": float(traj.times[-1]),
-            "energy_initial": float(traj.diagnostics["energy"][0]),
-            "energy_drift_abs": drift,
-            "samples": len(traj.times),
-        },
-        cfg.config_hash,
-    )
+            observers.append(stream)
+        traj = integrators.integrate(state0, mp, icfg, observers)
+    energy = traj.diagnostics["energy"]
+    _write_run(cfg, traj, {
+        "t_end": float(traj.times[-1]),
+        "energy_initial": float(energy[0]),
+        "energy_drift_abs": float(np.max(np.abs(energy - energy[0]))),
+        "samples": len(traj.times),
+    })
     return 0
 
 
 def _cmd_simulate_dnls(cfg: ExperimentConfig) -> int:
     p = cfg.params
+    icfg = integrators.IntegratorConfig(p["dt"], p["t_end"], p["stride"])
     n_half = p["n"]
     if p["model"] == "standard":
         model = StandardDnls(p["nu"])
@@ -535,47 +521,35 @@ def _cmd_simulate_dnls(cfg: ExperimentConfig) -> int:
         model = NormalFormDnls(coeffs.Omega, float(coeffs.b[0]), b2)
     if p["model"] != "normalform":
         warn_outside_asymptotic_range(model, p["epsilon"])
-    a0 = _soliton_envelope(p, n_half)
-    env0 = EnvelopeState(a0, 0.0)
-    icfg = integrators.IntegratorConfig(p["dt"], p["t_end"], p["stride"], "rk4")
+    env0 = EnvelopeState(_soliton_envelope(p, n_half), 0.0)
     observers = [lambda t, s: {"norm_sq": l2_conserved(s.a)}]
-    last = {"state": env0}
-
-    def sink(t, state, diag):  # noqa: ANN001
-        last["state"] = state
-
-    traj = integrators.integrate(
-        env0, model, icfg, observers, keep_snapshots=False, sample_sink=sink
-    )
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    traj.write_csv(cfg.outdir / "trajectory.csv", cfg.config_hash)
-    _write_json(cfg.outdir / "final_state.json", last["state"].to_json_dict(), cfg.config_hash)
-    last["state"].write_csv(cfg.outdir / "final_state.csv", f"config_hash={cfg.config_hash}")
-    n0 = traj.diagnostics["norm_sq"][0]
-    _write_json(
-        cfg.outdir / "summary.json",
-        {
-            "model": p["model"],
-            "clock": traj.clock,
-            "t_end": float(traj.times[-1]),
-            "norm_sq_initial": float(n0),
-            "norm_sq_drift_rel": float(
-                np.max(np.abs(traj.diagnostics["norm_sq"] - n0)) / max(n0, 1e-300)
-            ),
-        },
-        cfg.config_hash,
-    )
+    traj = integrators.integrate(env0, model, icfg, observers)
+    norm_sq = traj.diagnostics["norm_sq"]
+    _write_run(cfg, traj, {
+        "model": p["model"],
+        "clock": traj.clock,
+        "t_end": float(traj.times[-1]),
+        "norm_sq_initial": float(norm_sq[0]),
+        "norm_sq_drift_rel": float(
+            np.max(np.abs(norm_sq - norm_sq[0])) / max(norm_sq[0], 1e-300)
+        ),
+    })
     return 0
 
 
-def _justify_config(params: dict, eps: float, seed: int) -> approximation.JustificationConfig:
+def _justify_config(
+    params: dict, eps: float, seed: int, a0: np.ndarray, horizon: str = "T0"
+) -> approximation.JustificationConfig:
+    """The run of one eps point of the justify family on the given horizon."""
     return approximation.JustificationConfig(
         epsilon=eps,
         rho=_rho_for(params, eps),
-        a0=_soliton_envelope(params, params["n"]),
+        a0=a0,
         regime=params["regime"],
-        horizon="T0",
+        horizon=horizon,
         tau0=params["tau0"],
+        big_a=params.get("big_a", 0.5),
+        alpha=params.get("alpha", 0.5),
         dt=params["dt"],
         sample_stride=params["stride"],
         c0_scale=params.get("c0_scale", 0.0),
@@ -590,7 +564,9 @@ def _eps_tag(eps: float) -> str:
 def _run_justify_sweep(cfg: ExperimentConfig) -> int:
     p = cfg.params
     eps_list = p.get("sweep") or [p["epsilon"]]
-    jconfigs = [_justify_config(p, e, cfg.seed) for e in eps_list]
+    jconfigs = [
+        _justify_config(p, e, cfg.seed, _soliton_envelope(p, p["n"])) for e in eps_list
+    ]
     reports = [approximation.run_justification(jc) for jc in jconfigs]
 
     cfg.outdir.mkdir(parents=True, exist_ok=True)
@@ -625,39 +601,13 @@ def _run_justify_sweep(cfg: ExperimentConfig) -> int:
 def _cmd_justify_extended(cfg: ExperimentConfig) -> int:
     p = cfg.params
     eps = p["epsilon"]
-    rho = _rho_for(p, eps)
     a0 = _soliton_envelope(p, p["n"])
-    c_const = p.get("c_const")
+    c_const = p["c_const"]
     measured_from = "supplied"
     if c_const is None:
-        base = approximation.run_justification(
-            approximation.JustificationConfig(
-                epsilon=eps,
-                rho=rho,
-                a0=a0,
-                regime=p["regime"],
-                horizon="T0",
-                tau0=p["tau0"],
-                dt=p["dt"],
-                sample_stride=p["stride"],
-            )
-        )
-        c_const = base.ratio
+        c_const = approximation.run_justification(_justify_config(p, eps, cfg.seed, a0)).ratio
         measured_from = "plain-horizon run"
-    ext = approximation.run_justification(
-        approximation.JustificationConfig(
-            epsilon=eps,
-            rho=rho,
-            a0=a0,
-            regime=p["regime"],
-            horizon="T0star",
-            big_a=p["big_a"],
-            alpha=p["alpha"],
-            tau0=p["tau0"],
-            dt=p["dt"],
-            sample_stride=p["stride"],
-        )
-    )
+    ext = approximation.run_justification(_justify_config(p, eps, cfg.seed, a0, "T0star"))
     bound = c_const * ext.bound_scale
     holds = bool(ext.sup_error <= bound)
     cfg.outdir.mkdir(parents=True, exist_ok=True)
@@ -666,7 +616,7 @@ def _cmd_justify_extended(cfg: ExperimentConfig) -> int:
         cfg.outdir / "extended.json",
         {
             "epsilon": eps,
-            "rho": rho,
+            "rho": ext.rho,
             "alpha": p["alpha"],
             "A": p["big_a"],
             "t_end": float(ext.times[-1]),

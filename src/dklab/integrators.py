@@ -1,6 +1,6 @@
 """Time steppers and trajectory drivers.
 
-Two schemes cover the two flows in the package:
+Two methods cover the two flows in the package:
 
 * Stoermer-Verlet (velocity form) for the second-order chain.  Symplectic,
   time-reversible, energy error O(dt^2) with no secular drift, which is what
@@ -10,12 +10,16 @@ Two schemes cover the two flows in the package:
   monitored as the accuracy proxy instead.
 
 ``integrate`` advances an initial state to ``t_end``, recording every
-``observer_stride`` steps.  Observers receive (t, state) read-only and
-return named diagnostics.  An initial state or recorded sample with a
-non-finite entry or an entry beyond 1e6 in magnitude aborts the run with
-:class:`BlowUpError`.  The hard quartic potential makes the exact flow
-global, so a recorded sample that trips the guard always means the
-discretisation failed.
+``observer_stride`` steps: a :class:`LatticeState` by Verlet, an
+:class:`EnvelopeState` by RK4.  Observers receive (t, state) read-only at
+every recorded sample and return named diagnostics (``{}`` for one that only
+streams the states to disk); the trajectory keeps those and the last state,
+``Trajectory.final``.  An initial state or recorded sample with a non-finite
+entry or an entry beyond 1e6 in magnitude aborts the run with
+:class:`BlowUpError` before any observer sees it.  The hard quartic potential
+makes the exact flow global, so a recorded sample that trips the guard always
+means the discretisation failed.  :func:`step_count` turns every horizon into
+steps and refuses more than ``MAX_STEPS``.
 
 Times in a trajectory are in the model's own clock: fast time for the chain
 and the normal-form envelope, slow time for the multiscale envelopes.
@@ -55,17 +59,36 @@ __all__ = [
     "step_envelope_rk4",
     "integrate",
     "verlet_backend",
+    "step_count",
     "BLOWUP_LIMIT",
+    "MAX_STEPS",
 ]
 
 BLOWUP_LIMIT = 1.0e6
+# Far above the longest run in the tests and the benchmark (1.6e6 steps), far
+# below a horizon typed with a few digits too many.
+MAX_STEPS = 10**8
 
 Observer = Callable[[float, object], Mapping[str, float]]
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of steps of size dt that cover t_end, at least one.
+
+    Raises ValueError when that exceeds ``MAX_STEPS``.
+    """
+    steps = t_end / dt
+    if not steps < MAX_STEPS + 0.5:
+        raise ValueError(
+            f"the horizon t_end={t_end:g} needs {steps:.6g} steps of dt={dt:g}, "
+            f"above the ceiling of {MAX_STEPS} steps"
+        )
+    return max(1, int(round(steps)))
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step size, horizon, recording stride and scheme tag.
+    """Step size, horizon and recording stride.
 
     dt must resolve the unit carrier frequency of the chain, hence the
     hard cap dt <= 0.1.
@@ -74,7 +97,6 @@ class IntegratorConfig:
     dt: float
     t_end: float
     observer_stride: int = 1
-    scheme: str = "verlet"
 
     def __post_init__(self):
         if not (0.0 < self.dt <= 0.1):
@@ -86,25 +108,23 @@ class IntegratorConfig:
             raise ValueError(f"t_end={self.t_end} must be >= dt={self.dt}")
         if self.observer_stride < 1:
             raise ValueError("observer_stride must be a positive integer")
-        if self.scheme not in ("verlet", "rk4"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        step_count(self.t_end, self.dt)
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_end / self.dt)))
+        return step_count(self.t_end, self.dt)
 
 
 @dataclass
 class Trajectory:
     """Recorded samples of one integration.
 
-    ``snapshots`` is empty when the driver was asked not to retain states
-    (long runs stream to disk instead).  ``diagnostics`` maps each observer
+    ``final`` is the last recorded state.  ``diagnostics`` maps each observer
     output name to an array aligned with ``times``.
     """
 
     times: np.ndarray
-    snapshots: list
+    final: Union[LatticeState, EnvelopeState]
     diagnostics: dict[str, np.ndarray]
     clock: str = "fast"
 
@@ -264,29 +284,23 @@ def integrate(
     system: Union[ModelParams, DnlsModel],
     config: IntegratorConfig,
     observers: Sequence[Observer] = (),
-    keep_snapshots: bool = True,
-    sample_sink: Callable[[float, object, Mapping[str, float]], None] | None = None,
 ) -> Trajectory:
     """Advance state0 to t_end, recording every observer_stride steps.
 
-    The initial state is always recorded; so is the final one.  Observers
-    must be reentrant per run: they receive the current time and a freshly
-    constructed immutable state.  ``sample_sink`` is called with
-    (t, state, diagnostics) at every recorded sample, which lets callers
-    stream long runs to disk with ``keep_snapshots=False``.
+    A :class:`LatticeState` with :class:`ModelParams` runs Verlet, an
+    :class:`EnvelopeState` with a :class:`DnlsModel` runs RK4.  The initial
+    state is always recorded; so is the final one, which the trajectory keeps
+    as ``final``.  Observers must be reentrant per run: at every recorded
+    sample they receive the current time and a freshly constructed immutable
+    state, so an observer can also stream the states to disk.
     """
     is_lattice = isinstance(state0, LatticeState)
     if is_lattice and not isinstance(system, ModelParams):
         raise TypeError("a LatticeState requires ModelParams")
     if not is_lattice and not isinstance(state0, EnvelopeState):
         raise TypeError(f"cannot integrate state of type {type(state0)!r}")
-    if is_lattice and config.scheme != "verlet":
-        raise ValueError("the chain flow uses the 'verlet' scheme")
-    if not is_lattice and config.scheme != "rk4":
-        raise ValueError("envelope flows use the 'rk4' scheme")
 
     times: list[float] = []
-    snaps: list = []
     diag_rows: list[Mapping[str, float]] = []
     t0 = state0.t if is_lattice else state0.tau
     clock = "fast" if is_lattice or system.clock == "fast" else "slow"
@@ -297,13 +311,10 @@ def integrate(
             row.update(obs(t, state))
         times.append(t)
         diag_rows.append(row)
-        if keep_snapshots:
-            snaps.append(state)
-        if sample_sink is not None:
-            sample_sink(t, state, row)
 
     _check_sane((state0.x, state0.y) if is_lattice else (state0.a,), t0, initial=True)
     record(t0, state0)
+    state = state0
     n_steps = config.n_steps
     stride = config.observer_stride
     dt = config.dt
@@ -320,7 +331,8 @@ def integrate(
             done += k
             t = t0 + done * dt
             _check_sane((x, y), t_good)
-            record(t, LatticeState(x, y, t))
+            state = LatticeState(x, y, t)
+            record(t, state)
             t_good = t
     else:
         a = state0.a.copy()
@@ -334,7 +346,8 @@ def integrate(
             done += k
             t = t0 + done * dt
             _check_sane((a,), t_good)
-            record(t, EnvelopeState(a, t))
+            state = EnvelopeState(a, t)
+            record(t, state)
             t_good = t
 
     names: set[str] = set()
@@ -343,4 +356,4 @@ def integrate(
     diagnostics = {
         name: np.array([row.get(name, np.nan) for row in diag_rows]) for name in names
     }
-    return Trajectory(np.array(times), snaps, diagnostics, clock)
+    return Trajectory(np.array(times), state, diagnostics, clock)

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import NewtonDivergenceError, NewtonSingularError, RegimeError
 from .approximation import leading_order
 from .dnls_models import StandardDnls, rhs
-from .integrators import _advance_verlet, _check_sane, _dkg_force, _rk4_step
+from .integrators import _advance_verlet, _check_sane, _dkg_force, _rk4_step, step_count
 from .lattice_core import LatticeState, write_csv
 
 __all__ = [
@@ -262,7 +262,8 @@ def breather_return_error(
     mismatch with the initial state after each measured period.
 
     Refuses horizons beyond tau0/rho with tau0 = 1, past which the envelope
-    approximation no longer controls the error.  The step is snapped to divide the
+    approximation no longer controls the error, and runs of more than
+    ``MAX_STEPS`` steps in all, before it allocates.  The step is snapped to divide the
     period exactly so samples land on kT without interpolation.  The chain
     shares the ``BLOWUP_LIMIT`` guard of :func:`dklab.integrators.integrate`.
     """
@@ -279,8 +280,9 @@ def breather_return_error(
     y = state0.y.copy()
     x0 = state0.x
     y0 = state0.y
-    steps_per_period = max(1, int(round(period / dt)))
+    steps_per_period = step_count(period, dt)
     h = period / steps_per_period
+    step_count(n_periods * period, h)
     f = _dkg_force(x, epsilon, rho)
     errors = np.empty(n_periods)
     for k in range(n_periods):

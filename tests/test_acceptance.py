@@ -197,13 +197,12 @@ def test_06_conservation_suite(soliton64):
     params = ModelParams(eps, rho, 64)
     state0 = build_breather_initial(soliton64, eps, rho)
     e0 = energy_dkg(state0, eps, rho)
-    cfg = IntegratorConfig(1e-3, 1000.0, observer_stride=1000, scheme="verlet")
+    cfg = IntegratorConfig(1e-3, 1000.0, observer_stride=1000)
     traj = integrate(
         state0,
         params,
         cfg,
         observers=[lambda t, s: {"e": energy_dkg(s, eps, rho)}],
-        keep_snapshots=False,
     )
     verlet_drift = float(np.max(np.abs(traj.diagnostics["e"] - e0)) / abs(e0))
 

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 
 import dklab
 from dklab.cli import main, parse_and_validate
+from dklab.integrators import MAX_STEPS
 
 
 def run_cli(args, capsys):
@@ -68,6 +71,42 @@ class TestParsing:
         assert code == 1
         assert f"{flag} {value} must be finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate-dkg", "--n", "4", "--t-end", "1e12"],
+        ["simulate-dnls", "--n", "4", "--t-end", "1e12"],
+        ["justify", "--n", "4", "--tau0", "1e12"],
+        ["justify-extended", "--epsilon", "0.1", "--n", "4", "--tau0", "0.01",
+         "--dt", "0.01", "--big-a", "1e12"],
+        ["breather-return", "--nu", "1e-9", "--periods", "3000000000", "--n", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_step_ceiling(self, argv, tmp_path, capsys):
+        # finite horizons of 1e13-1e16 steps used to run without bound, and
+        # breather-return to allocate one float per period (22 GiB for these arguments)
+        start = time.perf_counter()
+        code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+        assert time.perf_counter() - start < 10.0
+        assert code == 1
+        assert re.search(r"needs \d[\d.e+]* steps", err)
+        assert f"ceiling of {MAX_STEPS} steps" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sweep,extra", [
+        (",", []),
+        ("0.1,abc", []),
+        ("0.1,0.1,0.1", []),
+        ("0.1,0.09,0.08", ["--rho", "0.05"]),
+    ])
+    def test_bad_sweep_rejected(self, sweep, extra, tmp_path, capsys):
+        # three of these used to exit 0: on --epsilon alone, on one eps three
+        # times, or with one rho for every eps
+        code, _, err = run_cli(
+            ["justify", "--sweep", sweep, *extra, "--out", str(tmp_path)], capsys
+        )
+        assert code == 1
+        assert "--sweep" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_flag_rejected(self, capsys):
         code, _, err = run_cli(["justify", "--frobnicate", "1"], capsys)
@@ -202,6 +241,8 @@ class TestSimulateCommands:
         states = (tmp_path / "states.jsonl").read_text().splitlines()
         assert json.loads(states[0])["config_hash"]  # hash header row
         assert len(states) == 1 + summary["samples"]
+        del final["config_hash"]
+        assert json.loads(states[-1]) == final
 
     def test_simulate_dnls_generalized(self, tmp_path, capsys):
         code, _, _ = run_cli(
@@ -359,14 +400,19 @@ class TestJustifyCommands:
         assert read_dir_bytes(hidden) == read_dir_bytes(here)
 
     def test_justify_extended_short(self, tmp_path, capsys):
+        shared = ["--epsilon", "0.1", "--n", "32", "--tau0", "0.2"]
         code, _, _ = run_cli(
-            ["justify-extended", "--epsilon", "0.1", "--n", "32", "--tau0", "0.2",
-             "--alpha", "0.5", "--big-a", "0.05", "--out", str(tmp_path)],
+            ["justify-extended", *shared, "--alpha", "0.5", "--big-a", "0.05",
+             "--out", str(tmp_path / "extended")],
             capsys,
         )
-        payload = json.loads((tmp_path / "extended.json").read_text())
+        payload = json.loads((tmp_path / "extended" / "extended.json").read_text())
         assert payload["c_const_source"] == "plain-horizon run"
         assert code == (0 if payload["holds"] else 2)
+        # the measured constant is the ratio of the plain justify run
+        assert run_cli(["justify", *shared, "--out", str(tmp_path / "plain")], capsys)[0] == 0
+        plain = json.loads((tmp_path / "plain" / "summary.json").read_text())
+        assert payload["c_const"] == plain["points"][0]["ratio"]
 
     def test_breather_return_cmd(self, tmp_path, capsys):
         code, _, _ = run_cli(

@@ -40,7 +40,7 @@ def _run_command(argv, tmp_path, capsys):
 
 def write_trajectory(path, monkeypatch, capsys):
     diagnostics = {"norm": np.sqrt(np.arange(3.0)), "energy": np.array([1.0, -0.0, 5e-324])}
-    Trajectory(0.1 * np.arange(3), [], diagnostics).write_csv(path / "t.csv", config_hash="cafe")
+    Trajectory(0.1 * np.arange(3), None, diagnostics).write_csv(path / "t.csv", config_hash="cafe")
     return path / "t.csv"
 
 

@@ -77,10 +77,6 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(0.01, 0.001)
 
-    def test_scheme_tag(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(0.01, 1.0, scheme="leapfrog")
-
 
 class TestVerletStep:
     def test_zero_fixed_point(self):
@@ -145,7 +141,7 @@ class TestVerletStep:
         def max_drift(dt):
             state = LatticeState(x, y)
             e0 = energy_dkg(state, params.epsilon, params.rho)
-            cfg = IntegratorConfig(dt, 10.0, observer_stride=10, scheme="verlet")
+            cfg = IntegratorConfig(dt, 10.0, observer_stride=10)
             traj = integrate(
                 state,
                 params,
@@ -153,7 +149,6 @@ class TestVerletStep:
                 observers=[
                     lambda t, s: {"e": energy_dkg(s, params.epsilon, params.rho)}
                 ],
-                keep_snapshots=False,
             )
             return np.max(np.abs(traj.diagnostics["e"] - e0))
 
@@ -355,18 +350,12 @@ class TestRk4Step:
 class TestIntegrateDriver:
     def test_two_snapshots_for_single_step(self):
         s = single_site_state(5, 0.3)
-        cfg = IntegratorConfig(1e-2, 1e-2, observer_stride=1, scheme="verlet")
+        cfg = IntegratorConfig(1e-2, 1e-2, observer_stride=1)
         traj = integrate(s, ModelParams(0.1, 0.5, 2), cfg)
         assert len(traj.times) == 2
-        assert len(traj.snapshots) == 2
+        assert traj.final.t == pytest.approx(1e-2)
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(1e-2)
-
-    def test_scheme_state_mismatch(self):
-        s = single_site_state(5, 0.3)
-        cfg = IntegratorConfig(1e-2, 1.0, scheme="rk4")
-        with pytest.raises(ValueError):
-            integrate(s, ModelParams(0.1, 0.5, 2), cfg)
 
     def test_dkg_energy_drift_short(self):
         # short version of the conservation contract (full horizon in the
@@ -377,13 +366,12 @@ class TestIntegrateDriver:
             0.3 * rng.standard_normal(33), 0.3 * rng.standard_normal(33)
         )
         e0 = energy_dkg(state, params.epsilon, params.rho)
-        cfg = IntegratorConfig(1e-3, 50.0, observer_stride=100, scheme="verlet")
+        cfg = IntegratorConfig(1e-3, 50.0, observer_stride=100)
         traj = integrate(
             state,
             params,
             cfg,
             observers=[lambda t, s: {"e": energy_dkg(s, params.epsilon, params.rho)}],
-            keep_snapshots=False,
         )
         drift = np.max(np.abs(traj.diagnostics["e"] - e0)) / abs(e0)
         assert drift < 1e-6
@@ -393,13 +381,12 @@ class TestIntegrateDriver:
         a0 = 0.5 * (rng.standard_normal(33) + 1j * rng.standard_normal(33))
         env = EnvelopeState(a0)
         n0 = l2_conserved(a0)
-        cfg = IntegratorConfig(1e-3, 5.0, observer_stride=50, scheme="rk4")
+        cfg = IntegratorConfig(1e-3, 5.0, observer_stride=50)
         traj = integrate(
             env,
             StandardDnls(1.0),
             cfg,
             observers=[lambda t, s: {"n": l2_conserved(s.a)}],
-            keep_snapshots=False,
         )
         drift = np.max(np.abs(traj.diagnostics["n"] - n0)) / n0
         assert drift < 1e-8
@@ -410,7 +397,7 @@ class TestIntegrateDriver:
         x = np.zeros(5)
         x[2] = 9.9e5  # inside the guard, but the first step explodes
         s = LatticeState(x, np.zeros(5))
-        cfg = IntegratorConfig(0.1, 10.0, observer_stride=1, scheme="verlet")
+        cfg = IntegratorConfig(0.1, 10.0, observer_stride=1)
         with pytest.raises(BlowUpError) as exc_info:
             with np.errstate(over="ignore", invalid="ignore"):
                 integrate(s, ModelParams(0.01, 1.0, 2), cfg)
@@ -422,7 +409,7 @@ class TestIntegrateDriver:
         x = np.zeros(5)
         x[2] = 2e6
         seen = []
-        cfg = IntegratorConfig(0.1, 1.0, observer_stride=1, scheme="verlet")
+        cfg = IntegratorConfig(0.1, 1.0, observer_stride=1)
         with pytest.raises(BlowUpError, match="initial state out of range") as exc_info:
             integrate(
                 LatticeState(x, np.zeros(5)),
@@ -435,18 +422,18 @@ class TestIntegrateDriver:
 
     def test_clock_tags(self):
         env = EnvelopeState(np.zeros(5, dtype=complex))
-        cfg = IntegratorConfig(1e-2, 1e-1, scheme="rk4")
+        cfg = IntegratorConfig(1e-2, 1e-1)
         assert integrate(env, StandardDnls(1.0), cfg).clock == "slow"
         from dklab.dnls_models import NormalFormDnls
 
         assert integrate(env, NormalFormDnls(1.0, -0.1), cfg).clock == "fast"
         s = single_site_state(5, 0.1)
-        cfg_v = IntegratorConfig(1e-2, 1e-1, scheme="verlet")
+        cfg_v = IntegratorConfig(1e-2, 1e-1)
         assert integrate(s, ModelParams(0.1, 0.5, 2), cfg_v).clock == "fast"
 
     def test_trajectory_csv(self, tmp_path):
         s = single_site_state(5, 0.3)
-        cfg = IntegratorConfig(1e-2, 0.1, observer_stride=2, scheme="verlet")
+        cfg = IntegratorConfig(1e-2, 0.1, observer_stride=2)
         traj = integrate(
             s,
             ModelParams(0.1, 0.5, 2),
@@ -461,15 +448,16 @@ class TestIntegrateDriver:
         assert len(lines) == 2 + len(traj.times)
 
     def test_sample_sink_streaming(self):
+        # an observer sees every recorded sample, the last of them as ``final``
         s = single_site_state(5, 0.3)
-        cfg = IntegratorConfig(1e-2, 0.1, observer_stride=5, scheme="verlet")
+        cfg = IntegratorConfig(1e-2, 0.1, observer_stride=5)
         seen = []
         traj = integrate(
             s,
             ModelParams(0.1, 0.5, 2),
             cfg,
-            keep_snapshots=False,
-            sample_sink=lambda t, st, d: seen.append(t),
+            observers=[lambda t, st: seen.append(st) or {}],
         )
-        assert traj.snapshots == []
-        assert seen == list(traj.times)
+        assert [st.t for st in seen] == list(traj.times)
+        assert traj.final is seen[-1]
+        assert traj.diagnostics == {}
