@@ -73,6 +73,9 @@ __all__ = [
     "fit_scaling_exponent",
 ]
 
+# Longest envelope RK4 substep of run_justification, in slow time.
+ENVELOPE_SUBSTEP = 1e-3
+
 
 @dataclass(frozen=True)
 class AnsatzSample:
@@ -311,7 +314,6 @@ class JustificationConfig:
     sample_stride: int = 100
     c0_scale: float = 0.0
     seed: int = 0
-    envelope_substep: float = 1e-3
 
     def __post_init__(self):
         object.__setattr__(self, "a0", np.asarray(self.a0, dtype=complex))
@@ -358,8 +360,6 @@ class JustificationConfig:
             raise RegimeError(f"dt={self.dt} must lie in (0, 0.1]")
         if self.sample_stride < 1:
             raise RegimeError(f"sample stride {self.sample_stride} must be >= 1")
-        if not self.envelope_substep > 0.0:
-            raise RegimeError(f"envelope_substep={self.envelope_substep} must be > 0")
         if self.regime == "standard":
             lo = eps**2 if self.horizon == "T0" else eps ** (2.0 / (1.0 + self.alpha))
             hi = eps
@@ -440,7 +440,7 @@ def run_justification(config: JustificationConfig) -> JustificationReport:
 
     The chain advances with velocity Verlet on the fast clock; between
     samples the envelope advances by exactly eps * (elapsed fast time) in
-    RK4 substeps no longer than ``envelope_substep``, so the two clocks stay
+    RK4 substeps no longer than ``ENVELOPE_SUBSTEP``, so the two clocks stay
     commensurate and the ansatz never needs interpolation.  Chain and
     envelope share the ``BLOWUP_LIMIT`` guard of :func:`integrate`, from the
     initial state on.
@@ -497,7 +497,7 @@ def run_justification(config: JustificationConfig) -> JustificationReport:
         k = min(stride, n_steps - done)
         _advance_verlet(x, y, f, eps, rho, dt, k)
         dtau = eps * dt * k
-        m_sub = max(1, int(math.ceil(dtau / config.envelope_substep)))
+        m_sub = max(1, int(math.ceil(dtau / ENVELOPE_SUBSTEP)))
         h = dtau / m_sub
         for _ in range(m_sub):
             a = _rk4_step(a, fun, h)

@@ -437,15 +437,14 @@ def _write_svg_loglog(
     path.write_text("\n".join(lines) + "\n")
 
 
-def _soliton_envelope(params: dict, n_half: int) -> np.ndarray:
-    if params.get("a0", "soliton") == "onehot" or params.get("init") == "onehot":
+def _soliton_envelope(onehot: bool, amplitude: float, omega_s: float, n_half: int) -> np.ndarray:
+    """``amplitude`` times a one-hot or a unit-nonlinearity soliton envelope."""
+    if onehot:
         a0 = np.zeros(2 * n_half + 1, dtype=complex)
-        a0[n_half] = params.get("amplitude", params.get("amplitude_scale", 1.0))
+        a0[n_half] = amplitude
         return a0
-    profile = solitons.solve_soliton(params.get("omega_s", 1.5), 1.0, n_half)
-    return params.get("amplitude_scale", params.get("amplitude", 1.0)) * profile.A.astype(
-        complex
-    )
+    profile = solitons.solve_soliton(omega_s, 1.0, n_half)
+    return amplitude * profile.A.astype(complex)
 
 
 # -- subcommand bodies ----------------------------------------------------------
@@ -521,7 +520,8 @@ def _cmd_simulate_dnls(cfg: ExperimentConfig) -> int:
         model = NormalFormDnls(coeffs.Omega, float(coeffs.b[0]), b2)
     if p["model"] != "normalform":
         warn_outside_asymptotic_range(model, p["epsilon"])
-    env0 = EnvelopeState(_soliton_envelope(p, n_half), 0.0)
+    a0 = _soliton_envelope(p["init"] == "onehot", p["amplitude"], p["omega_s"], n_half)
+    env0 = EnvelopeState(a0, 0.0)
     observers = [lambda t, s: {"norm_sq": l2_conserved(s.a)}]
     traj = integrators.integrate(env0, model, icfg, observers)
     norm_sq = traj.diagnostics["norm_sq"]
@@ -557,6 +557,10 @@ def _justify_config(
     )
 
 
+def _justify_envelope(p: dict) -> np.ndarray:
+    return _soliton_envelope(p["a0"] == "onehot", p["amplitude_scale"], p["omega_s"], p["n"])
+
+
 def _eps_tag(eps: float) -> str:
     return repr(eps).replace(".", "p").replace("-", "m")
 
@@ -564,9 +568,7 @@ def _eps_tag(eps: float) -> str:
 def _run_justify_sweep(cfg: ExperimentConfig) -> int:
     p = cfg.params
     eps_list = p.get("sweep") or [p["epsilon"]]
-    jconfigs = [
-        _justify_config(p, e, cfg.seed, _soliton_envelope(p, p["n"])) for e in eps_list
-    ]
+    jconfigs = [_justify_config(p, e, cfg.seed, _justify_envelope(p)) for e in eps_list]
     reports = [approximation.run_justification(jc) for jc in jconfigs]
 
     cfg.outdir.mkdir(parents=True, exist_ok=True)
@@ -601,7 +603,7 @@ def _run_justify_sweep(cfg: ExperimentConfig) -> int:
 def _cmd_justify_extended(cfg: ExperimentConfig) -> int:
     p = cfg.params
     eps = p["epsilon"]
-    a0 = _soliton_envelope(p, p["n"])
+    a0 = _justify_envelope(p)
     c_const = p["c_const"]
     measured_from = "supplied"
     if c_const is None:

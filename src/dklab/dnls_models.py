@@ -39,7 +39,7 @@ from typing import Union
 import numpy as np
 
 from . import _native
-from .lattice_core import l2_norm, neighbor_sum, read_csv, write_csv
+from .lattice_core import _frozen_vector, l2_norm, neighbor_sum, read_csv, write_csv
 
 __all__ = [
     "EnvelopeState",
@@ -57,17 +57,6 @@ __all__ = [
 ]
 
 
-def _frozen_complex_vector(seq, name: str) -> np.ndarray:
-    arr = np.asarray(seq, dtype=complex)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class EnvelopeState:
     """Complex envelope on the chain at its model's clock time.
@@ -81,7 +70,7 @@ class EnvelopeState:
     tau: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _frozen_complex_vector(self.a, "a"))
+        object.__setattr__(self, "a", _frozen_vector(self.a, "a", complex))
         n = len(self.a)
         if n < 3 or n % 2 == 0:
             raise ValueError(f"chain length must be odd and >= 3, got {n}")

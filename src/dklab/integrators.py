@@ -1,4 +1,4 @@
-"""Time steppers and trajectory drivers.
+"""Time steppers and the trajectory driver.
 
 Two methods cover the two flows in the package:
 
@@ -9,9 +9,11 @@ Two methods cover the two flows in the package:
   structure is not separable in real coordinates; the squared l2 norm is
   monitored as the accuracy proxy instead.
 
-``integrate`` advances an initial state to ``t_end``, recording every
-``observer_stride`` steps: a :class:`LatticeState` by Verlet, an
-:class:`EnvelopeState` by RK4.  Observers receive (t, state) read-only at
+``integrate``, the one stepping driver outside the justification harness,
+advances an initial state to ``t_end`` in one stride loop, recording every
+``observer_stride`` steps: the state's type picks the advance (Verlet for a
+:class:`LatticeState`, RK4 for an :class:`EnvelopeState`) and the type of
+the recorded states.  Observers receive (t, state) read-only at
 every recorded sample and return named diagnostics (``{}`` for one that only
 streams the states to disk); the trajectory keeps those and the last state,
 ``Trajectory.final``.  An initial state or recorded sample with a non-finite
@@ -294,16 +296,36 @@ def integrate(
     sample they receive the current time and a freshly constructed immutable
     state, so an observer can also stream the states to disk.
     """
-    is_lattice = isinstance(state0, LatticeState)
-    if is_lattice and not isinstance(system, ModelParams):
-        raise TypeError("a LatticeState requires ModelParams")
-    if not is_lattice and not isinstance(state0, EnvelopeState):
+    dt = config.dt
+    if isinstance(state0, LatticeState):
+        if not isinstance(system, ModelParams):
+            raise TypeError("a LatticeState requires ModelParams")
+        make, t0, clock = LatticeState, state0.t, "fast"
+        x, y = state0.x.copy(), state0.y.copy()
+        _check_sane((x, y), t0, initial=True)
+        f = _dkg_force(x, system.epsilon, system.rho)
+
+        def advance(k: int) -> tuple:
+            _advance_verlet(x, y, f, system.epsilon, system.rho, dt, k)
+            return x, y
+
+    elif isinstance(state0, EnvelopeState):
+        make, t0, clock = EnvelopeState, state0.tau, system.clock
+        a = state0.a.copy()
+        _check_sane((a,), t0, initial=True)
+        fun = lambda z: rhs(system, z)  # noqa: E731
+
+        def advance(k: int) -> tuple:
+            nonlocal a
+            for _ in range(k):
+                a = _rk4_step(a, fun, dt)
+            return (a,)
+
+    else:
         raise TypeError(f"cannot integrate state of type {type(state0)!r}")
 
     times: list[float] = []
     diag_rows: list[Mapping[str, float]] = []
-    t0 = state0.t if is_lattice else state0.tau
-    clock = "fast" if is_lattice or system.clock == "fast" else "slow"
 
     def record(t: float, state) -> None:
         row: dict[str, float] = {}
@@ -312,43 +334,20 @@ def integrate(
         times.append(t)
         diag_rows.append(row)
 
-    _check_sane((state0.x, state0.y) if is_lattice else (state0.a,), t0, initial=True)
     record(t0, state0)
     state = state0
     n_steps = config.n_steps
-    stride = config.observer_stride
-    dt = config.dt
-
-    if is_lattice:
-        x = state0.x.copy()
-        y = state0.y.copy()
-        f = _dkg_force(x, system.epsilon, system.rho)
-        done = 0
-        t_good = t0
-        while done < n_steps:
-            k = min(stride, n_steps - done)
-            _advance_verlet(x, y, f, system.epsilon, system.rho, dt, k)
-            done += k
-            t = t0 + done * dt
-            _check_sane((x, y), t_good)
-            state = LatticeState(x, y, t)
-            record(t, state)
-            t_good = t
-    else:
-        a = state0.a.copy()
-        fun = lambda z: rhs(system, z)  # noqa: E731
-        done = 0
-        t_good = t0
-        while done < n_steps:
-            k = min(stride, n_steps - done)
-            for _ in range(k):
-                a = _rk4_step(a, fun, dt)
-            done += k
-            t = t0 + done * dt
-            _check_sane((a,), t_good)
-            state = EnvelopeState(a, t)
-            record(t, state)
-            t_good = t
+    done = 0
+    t_good = t0
+    while done < n_steps:
+        k = min(config.observer_stride, n_steps - done)
+        arrays = advance(k)
+        done += k
+        t = t0 + done * dt
+        _check_sane(arrays, t_good)
+        state = make(*arrays, t)
+        record(t, state)
+        t_good = t
 
     names: set[str] = set()
     for row in diag_rows:

@@ -48,8 +48,8 @@ __all__ = [
 ]
 
 
-def _frozen_real_vector(seq, name: str) -> np.ndarray:
-    arr = np.asarray(seq, dtype=float)
+def _frozen_vector(seq, name: str, dtype) -> np.ndarray:
+    arr = np.asarray(seq, dtype=dtype)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -117,8 +117,8 @@ class LatticeState:
     t: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _frozen_real_vector(self.x, "x"))
-        object.__setattr__(self, "y", _frozen_real_vector(self.y, "y"))
+        object.__setattr__(self, "x", _frozen_vector(self.x, "x", float))
+        object.__setattr__(self, "y", _frozen_vector(self.y, "y", float))
         if self.x.shape != self.y.shape:
             raise ValueError(
                 f"x and y must have equal length, got {len(self.x)} and {len(self.y)}"

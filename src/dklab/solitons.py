@@ -23,7 +23,9 @@ initial data for an approximate breather: time-periodic to the accuracy of
 the envelope approximation, i.e. over horizons of order 1/rho.  The breather
 period is measured from the envelope phase (linear fit of the unwrapped
 argument at the profile's anchor site) rather than assumed, since the
-nonlinear frequency shift moves it away from 2 pi by O(eps).
+nonlinear frequency shift moves it away from 2 pi by O(eps).  Both the
+envelope run of that fit and the chain run of the period-return errors go
+through :func:`dklab.integrators.integrate` and its blow-up guard.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ import numpy as np
 
 from .errors import NewtonDivergenceError, NewtonSingularError, RegimeError
 from .approximation import leading_order
-from .dnls_models import StandardDnls, rhs
-from .integrators import _advance_verlet, _check_sane, _dkg_force, _rk4_step, step_count
-from .lattice_core import LatticeState, write_csv
+from .dnls_models import EnvelopeState, StandardDnls, rhs
+from .integrators import IntegratorConfig, integrate, step_count
+from .lattice_core import LatticeState, ModelParams, write_csv
 
 __all__ = [
     "SolitonProfile",
@@ -49,9 +51,13 @@ __all__ = [
     "build_breather_initial",
     "measure_envelope_period",
     "breather_return_error",
+    "MAX_NEWTON_N",
 ]
 
 _DEFECT_ACCEPT = 1e-10
+_NEWTON_TOL = 1e-12
+# Largest half-size N for the dense Newton Jacobian (425 MB peak RSS at N=2048).
+MAX_NEWTON_N = 2048
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,6 @@ def solve_soliton(
     N: int,
     seed_sites: Union[Iterable[int], Mapping[int, float]] = (0,),
     max_iterations: int = 50,
-    tol: float = 1e-12,
 ) -> SolitonProfile:
     """Newton-solve the stationary system from an uncoupled-caricature seed.
 
@@ -130,7 +135,8 @@ def solve_soliton(
     quadratic near a nondegenerate solution; a numerically singular
     Jacobian raises :class:`NewtonSingularError`, and failure to reach a
     defect of 1e-10 within the iteration budget raises
-    :class:`NewtonDivergenceError` carrying the last iterate.
+    :class:`NewtonDivergenceError` carrying the last iterate.  N above
+    ``MAX_NEWTON_N`` raises ValueError before anything is allocated.
     """
     if abs(Omega_s) <= 1.0:
         raise ValueError(
@@ -139,6 +145,11 @@ def solve_soliton(
     if nu <= 0.0:
         raise ValueError(f"nu={nu} must be positive")
     n = 2 * N + 1
+    if N > MAX_NEWTON_N:
+        raise ValueError(
+            f"N={N} needs a dense {n}x{n} Newton Jacobian ({8e-9 * n * n:.3g} GB), "
+            f"above the ceiling of N={MAX_NEWTON_N}"
+        )
     seeds = _normalize_seed(seed_sites)
     A = np.zeros(n)
     amp = math.sqrt(2.0 * abs(Omega_s) / (3.0 * nu))
@@ -167,7 +178,7 @@ def solve_soliton(
         A = A - step
         defect = stationary_defect(A, Omega_s, nu)
         res = float(np.max(np.abs(defect)))
-        if res <= tol:
+        if res <= _NEWTON_TOL:
             return SolitonProfile(A, Omega_s, nu, res, it)
     res = float(np.max(np.abs(defect)))
     if res <= _DEFECT_ACCEPT:
@@ -218,24 +229,19 @@ def build_breather_initial(
     return LatticeState(ans.X, ans.Xdot, 0.0)
 
 
-def measure_envelope_period(
-    profile: SolitonProfile, epsilon: float, fit_span: float = 1.0, dtau: float = 1e-3
-) -> tuple[float, float]:
+def measure_envelope_period(profile: SolitonProfile, epsilon: float) -> tuple[float, float]:
     """(Omega_fit, T): envelope frequency from a linear fit of the unwrapped
-    phase at the profile's largest-amplitude site, and the breather period
-    T = 2 pi / (1 + eps * Omega_fit)."""
-    model = StandardDnls(profile.nu)
-    a = profile.A.astype(complex)
-    anchor = int(np.argmax(np.abs(a)))
-    steps = max(2, int(round(fit_span / dtau)))
-    phases = np.empty(steps + 1)
-    phases[0] = np.angle(a[anchor])
-    fun = lambda z: rhs(model, z)  # noqa: E731
-    for i in range(steps):
-        a = _rk4_step(a, fun, dtau)
-        phases[i + 1] = np.angle(a[anchor])
-    taus = dtau * np.arange(steps + 1)
-    omega_fit = float(np.polyfit(taus, np.unwrap(phases), 1)[0])
+    phase at the profile's largest-amplitude site over one unit of slow time
+    (RK4 steps of 1e-3 by :func:`dklab.integrators.integrate`, under its
+    blow-up guard), and the breather period T = 2 pi / (1 + eps * Omega_fit)."""
+    anchor = int(np.argmax(np.abs(profile.A)))
+    traj = integrate(
+        EnvelopeState(profile.A, 0.0),
+        StandardDnls(profile.nu),
+        IntegratorConfig(1e-3, 1.0),
+        [lambda t, s: {"phase": np.angle(s.a[anchor])}],
+    )
+    omega_fit = float(np.polyfit(traj.times, np.unwrap(traj.diagnostics["phase"]), 1)[0])
     period = 2.0 * math.pi / (1.0 + epsilon * omega_fit)
     return omega_fit, period
 
@@ -262,10 +268,10 @@ def breather_return_error(
     mismatch with the initial state after each measured period.
 
     Refuses horizons beyond tau0/rho with tau0 = 1, past which the envelope
-    approximation no longer controls the error, and runs of more than
-    ``MAX_STEPS`` steps in all, before it allocates.  The step is snapped to divide the
-    period exactly so samples land on kT without interpolation.  The chain
-    shares the ``BLOWUP_LIMIT`` guard of :func:`dklab.integrators.integrate`.
+    approximation no longer controls the error, then runs of more than
+    ``MAX_STEPS`` steps in all.  The step is snapped to divide the period
+    exactly, so :func:`dklab.integrators.integrate` records the chain at kT
+    without interpolation.
     """
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
@@ -275,19 +281,15 @@ def breather_return_error(
             f"{n_periods} periods of T={period:.4f} exceed the validity "
             f"horizon 1/rho={1.0 / rho:.4f}"
         )
+    # no fewer steps than IntegratorConfig's largest step of 0.1 needs
+    steps = max(step_count(period, dt), math.ceil(period / 0.1))
+    h = period / steps
+    config = IntegratorConfig(h, n_periods * steps * h, steps)
     state0 = build_breather_initial(profile, epsilon, rho)
-    x = state0.x.copy()
-    y = state0.y.copy()
-    x0 = state0.x
-    y0 = state0.y
-    steps_per_period = step_count(period, dt)
-    h = period / steps_per_period
-    step_count(n_periods * period, h)
-    f = _dkg_force(x, epsilon, rho)
-    errors = np.empty(n_periods)
-    for k in range(n_periods):
-        _advance_verlet(x, y, f, epsilon, rho, h, steps_per_period)
-        _check_sane((x, y), k * period)
-        errors[k] = float(np.linalg.norm(x - x0) + np.linalg.norm(y - y0))
+    x0, y0 = state0.x, state0.y
+    traj = integrate(state0, ModelParams(epsilon, rho, profile.n_half), config, [
+        lambda t, s: {"error": np.linalg.norm(s.x - x0) + np.linalg.norm(s.y - y0)}
+    ])
+    errors = traj.diagnostics["error"][1:]
     times = period * np.arange(1, n_periods + 1)
     return BreatherReturnReport(period, omega_fit, times, errors)

@@ -290,8 +290,6 @@ class TestJustificationHarness:
         [
             ("sample_stride", 0),
             ("sample_stride", -1),
-            ("envelope_substep", 0.0),
-            ("envelope_substep", -1e-3),
             ("dt", 0.0),
             ("dt", 0.2),
             ("dt", float("nan")),

@@ -15,6 +15,7 @@ import pytest
 import dklab
 from dklab.cli import main, parse_and_validate
 from dklab.integrators import MAX_STEPS
+from dklab.solitons import MAX_NEWTON_N
 
 
 def run_cli(args, capsys):
@@ -89,6 +90,17 @@ class TestParsing:
         assert code == 1
         assert re.search(r"needs \d[\d.e+]* steps", err)
         assert f"ceiling of {MAX_STEPS} steps" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["soliton", "breather-return"])
+    def test_newton_size_ceiling(self, command, tmp_path, capsys):
+        # a 200001 x 200001 dense Jacobian would take 320 GB
+        start = time.perf_counter()
+        code, _, err = run_cli([command, "--n", "100000", "--out", str(tmp_path)], capsys)
+        assert time.perf_counter() - start < 10.0
+        assert code == 1
+        assert "200001x200001 Newton Jacobian" in err
+        assert f"ceiling of N={MAX_NEWTON_N}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("sweep,extra", [
@@ -440,12 +452,15 @@ class TestJustifyCommands:
         assert "initial state out of range" in err
 
     def test_breather_return_blowup_exits_one(self, tmp_path, capsys):
-        # dt = 0.05 does not resolve the chain at Omega_s = 1000
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, _, err = run_cli(
-                ["breather-return", "--omega-s", "1000", "--dt", "0.05",
-                 "--periods", "1", "--out", str(tmp_path)],
-                capsys,
-            )
-        assert code == 1
-        assert "blew up" in err
+        # dt = 0.05 does not resolve the chain at Omega_s = 1000; at
+        # Omega_s = 2000 the envelope RK4 step of the period fit is unstable
+        for argv in (
+            ["--omega-s", "1000", "--dt", "0.05", "--periods", "1"],
+            ["--omega-s", "2000", "--n", "8", "--periods", "1"],
+        ):
+            with np.errstate(over="ignore", invalid="ignore"):
+                code, _, err = run_cli(
+                    ["breather-return", *argv, "--out", str(tmp_path)], capsys
+                )
+            assert code == 1
+            assert "blew up" in err

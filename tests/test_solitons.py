@@ -181,6 +181,13 @@ class TestBreatherReturn:
         with pytest.raises(RegimeError):
             breather_return_error(prof, 0.05, 0.05, 100)
 
+    def test_coarse_dt_stays_under_step_cap(self):
+        # dt = 0.1 rounds the period 5.84 to 58 steps of 0.1008, above the
+        # largest step IntegratorConfig accepts; the run takes 59 instead
+        prof = solve_soliton(1.5, 1.0, 16)
+        rep = breather_return_error(prof, 0.05, 0.05, 1, dt=0.1)
+        assert rep.errors[0] < 0.1
+
     def test_return_errors_small_and_no_blowup(self):
         prof = solve_soliton(1.5, 1.0, 32)
         eps = rho = 0.1
