@@ -57,7 +57,9 @@ import numpy as np
 
 from .errors import RegimeError
 from .dnls_models import DnlsModel, GeneralizedDnls, StandardDnls, rhs, second_derivative
-from .integrators import _advance_verlet, _check_sane, _dkg_force, _rk4_step, step_count
+from .integrators import (
+    IntegratorConfig, _advance_verlet, _check_sane, _dkg_force, _rk4_step, _strides
+)
 from .lattice_core import l2_norm, neighbor_sum, write_csv
 
 __all__ = [
@@ -335,6 +337,11 @@ class JustificationConfig:
             return self.epsilon**p / self.rho
         return self.epsilon**p * self.rho ** (-1.0 - self.alpha)
 
+    @property
+    def plan(self) -> IntegratorConfig:
+        """The chain's steps: dt, the horizon ``t_end`` and the sample stride."""
+        return IntegratorConfig(self.dt, self.t_end, self.sample_stride)
+
     def validate(self) -> None:
         eps, rho = self.epsilon, self.rho
         if not (0.0 < eps < 0.25):
@@ -356,10 +363,6 @@ class JustificationConfig:
                 raise RegimeError("A must be positive")
         if self.tau0 <= 0.0:
             raise RegimeError("tau0 must be positive")
-        if not (0.0 < self.dt <= 0.1):
-            raise RegimeError(f"dt={self.dt} must lie in (0, 0.1]")
-        if self.sample_stride < 1:
-            raise RegimeError(f"sample stride {self.sample_stride} must be >= 1")
         if self.regime == "standard":
             lo = eps**2 if self.horizon == "T0" else eps ** (2.0 / (1.0 + self.alpha))
             hi = eps
@@ -377,7 +380,10 @@ class JustificationConfig:
             )
         if len(self.a0) != 0 and (len(self.a0) % 2 == 0 or len(self.a0) < 3):
             raise RegimeError("a0 must have odd length >= 3")
-        step_count(self.t_end, self.dt)
+        try:
+            self.plan  # IntegratorConfig checks dt, the stride and the horizon
+        except ValueError as exc:
+            raise RegimeError(str(exc)) from exc
 
     def _make_model(self) -> DnlsModel:
         if self.regime == "standard":
@@ -387,42 +393,47 @@ class JustificationConfig:
 
 @dataclass
 class JustificationReport:
-    """Sampled error history of one justification run.
+    """Sampled error history of one justification run of ``config``.
 
     ``error_norm`` is ||xi - X|| + ||xi' - X'|| and Q = sqrt(E) the energy
     measure on the same grid; consistency with coercivity
     (error_norm <= 4 Q up to rounding) holds sample-wise.  ``ratio`` is
-    sup(error_norm) divided by the theoretical scale ``bound_scale``.
+    ``sup_error``, the largest error_norm, divided by the theoretical scale
+    ``bound_scale`` of the config.
     """
 
-    epsilon: float
-    rho: float
-    regime: str
-    horizon: str
-    tau0: float
-    big_a: float
-    alpha: float
+    config: JustificationConfig
     times: np.ndarray
     error_norm: np.ndarray
     Q: np.ndarray
-    bound_scale: float
-    sup_error: float
-    ratio: float
+
+    @property
+    def sup_error(self) -> float:
+        return float(np.max(self.error_norm))
+
+    @property
+    def bound_scale(self) -> float:
+        return self.config.bound_scale
+
+    @property
+    def ratio(self) -> float:
+        return self.sup_error / self.bound_scale
 
     def summary_dict(self) -> dict:
+        c = self.config
         return {
-            "epsilon": self.epsilon,
-            "rho": self.rho,
-            "regime": self.regime,
-            "horizon": self.horizon,
-            "tau0": self.tau0,
-            "A": self.big_a,
-            "alpha": self.alpha,
+            "epsilon": c.epsilon,
+            "rho": c.rho,
+            "regime": c.regime,
+            "horizon": c.horizon,
+            "tau0": c.tau0,
+            "A": c.big_a,
+            "alpha": c.alpha,
             "t_end": float(self.times[-1]),
             "bound_scale": self.bound_scale,
             "sup_error": self.sup_error,
             "ratio": self.ratio,
-            "slope_contribution": [math.log(self.epsilon), math.log(self.sup_error)]
+            "slope_contribution": [math.log(c.epsilon), math.log(self.sup_error)]
             if self.sup_error > 0.0
             else None,
         }
@@ -438,15 +449,17 @@ def run_justification(config: JustificationConfig) -> JustificationReport:
     """Co-integrate chain and envelope from matched initial data and sample
     the approximation error on a uniform grid.
 
-    The chain advances with velocity Verlet on the fast clock; between
-    samples the envelope advances by exactly eps * (elapsed fast time) in
-    RK4 substeps no longer than ``ENVELOPE_SUBSTEP``, so the two clocks stay
-    commensurate and the ansatz never needs interpolation.  Chain and
-    envelope share the ``BLOWUP_LIMIT`` guard of :func:`integrate`, from the
-    initial state on.
+    The chain advances with velocity Verlet on the fast clock, over the steps
+    of ``config.plan`` and through the stride loop that :func:`integrate`
+    also runs; between samples the envelope advances by exactly eps * (elapsed fast
+    time) in RK4 substeps no longer than ``ENVELOPE_SUBSTEP``, so the two
+    clocks stay commensurate and the ansatz never needs interpolation.  Chain
+    and envelope share the ``BLOWUP_LIMIT`` guard of :func:`integrate`, from
+    the initial state on.
     """
     config.validate()
-    eps, rho, dt = config.epsilon, config.rho, config.dt
+    plan = config.plan
+    eps, rho, dt = config.epsilon, config.rho, plan.dt
     model = config._make_model()
 
     a = config.a0.astype(complex)
@@ -474,10 +487,17 @@ def run_justification(config: JustificationConfig) -> JustificationReport:
 
     _check_sane((x, y, a), 0.0, initial=True)
     f = _dkg_force(x, eps, rho)
-
-    n_steps = step_count(config.t_end, dt)
-    stride = config.sample_stride
     fun = lambda z: rhs(model, z)  # noqa: E731
+
+    def advance(k: int) -> tuple:
+        nonlocal a
+        _advance_verlet(x, y, f, eps, rho, dt, k)
+        dtau = eps * dt * k
+        m_sub = max(1, int(math.ceil(dtau / ENVELOPE_SUBSTEP)))
+        h = dtau / m_sub
+        for _ in range(m_sub):
+            a = _rk4_step(a, fun, h)
+        return x, y, a
 
     def sample(t: float):
         adot_s = rhs(model, a)
@@ -488,42 +508,7 @@ def run_justification(config: JustificationConfig) -> JustificationReport:
         _, q = error_energy(yv, yd, ans.X, eps, rho)
         return err, q
 
-    times = [0.0]
-    e0, q0 = sample(0.0)
-    errors = [e0]
-    qs = [q0]
-    done = 0
-    while done < n_steps:
-        k = min(stride, n_steps - done)
-        _advance_verlet(x, y, f, eps, rho, dt, k)
-        dtau = eps * dt * k
-        m_sub = max(1, int(math.ceil(dtau / ENVELOPE_SUBSTEP)))
-        h = dtau / m_sub
-        for _ in range(m_sub):
-            a = _rk4_step(a, fun, h)
-        done += k
-        t = done * dt
-        _check_sane((x, y, a), times[-1])
-        err, q = sample(t)
-        times.append(t)
-        errors.append(err)
-        qs.append(q)
-
-    errors_arr = np.array(errors)
-    sup = float(np.max(errors_arr))
-    scale = config.bound_scale
-    return JustificationReport(
-        epsilon=eps,
-        rho=rho,
-        regime=config.regime,
-        horizon=config.horizon,
-        tau0=config.tau0,
-        big_a=config.big_a,
-        alpha=config.alpha,
-        times=np.array(times),
-        error_norm=errors_arr,
-        Q=np.array(qs),
-        bound_scale=scale,
-        sup_error=sup,
-        ratio=sup / scale,
-    )
+    rows = [(0.0, *sample(0.0))]
+    rows += [(t, *sample(t)) for t, _ in _strides(advance, plan, 0.0)]
+    times, errors, qs = (np.array(col) for col in zip(*rows))
+    return JustificationReport(config, times, errors, qs)

@@ -23,8 +23,8 @@ sweep             alias of ``justify --sweep``
 build every run through ``_justify_config``; ``justify-extended`` adds
 ``--alpha``, ``--big-a`` and ``--c-const``, the other two ``--sweep``,
 ``--c0-scale`` and ``--svg``.  ``--sweep`` takes distinct eps values and no
-``--rho``.  A horizon of more than ``integrators.MAX_STEPS`` steps is refused
-before the chain is integrated.
+``--rho``.  A horizon shorter than one step or longer than
+``integrators.MAX_STEPS`` steps is refused before the chain is integrated.
 
 Configuration values may come from a flat key-value file (``--config``,
 lines of ``name = value`` with ``#`` comments, names matching the long
@@ -284,19 +284,17 @@ def _validate(command: str, params: dict) -> None:
         if _non_finite(value):
             raise _CliError(f"--{name.replace('_', '-')} {value} must be finite")
     eps = params.get("epsilon")
-    if eps is not None and command != "thresholds" and not (0.0 < eps < 0.5):
+    if eps is not None and not (0.0 < eps < 0.5):
         raise _CliError(
             f"--epsilon {eps} out of range: the diagonal-free normalisation "
             "restricts the coupling to (0, 1/2)"
         )
-    if command == "thresholds" and eps is not None and not (0.0 < eps < 0.5):
-        raise _CliError(f"--epsilon {eps} must lie in (0, 1/2)")
     rho = params.get("rho")
     if rho is not None and not (0.0 < rho <= 1.0):
         raise _CliError(f"--rho {rho} must lie in (0, 1]")
-    if params.get("dt") is not None and not (0.0 < params["dt"] <= 0.1):
+    if params.get("dt") is not None and not (0.0 < params["dt"] <= integrators.MAX_DT):
         raise _CliError(
-            f"--dt {params['dt']} must lie in (0, 0.1] to resolve the unit "
+            f"--dt {params['dt']} must lie in (0, {integrators.MAX_DT}] to resolve the unit "
             "carrier frequency"
         )
     if params.get("n") is not None and params["n"] < 1:
@@ -579,7 +577,7 @@ def _run_justify_sweep(cfg: ExperimentConfig) -> int:
         summaries.append(report.summary_dict())
     payload: dict = {"points": summaries}
     if len(reports) >= 3:
-        pairs = [(r.epsilon, r.sup_error) for r in reports]
+        pairs = [(r.config.epsilon, r.sup_error) for r in reports]
         slope, r2 = approximation.fit_scaling_exponent(pairs)
         payload["slope"] = slope
         payload["r2"] = r2
@@ -594,7 +592,7 @@ def _run_justify_sweep(cfg: ExperimentConfig) -> int:
     write_csv(
         cfg.outdir / "sweep.csv",
         ("epsilon", "rho", "sup_error", "bound_scale", "ratio"),
-        [(r.epsilon, r.rho, r.sup_error, r.bound_scale, r.ratio) for r in reports],
+        [(r.config.epsilon, r.config.rho, r.sup_error, r.bound_scale, r.ratio) for r in reports],
         [f"config_hash={cfg.config_hash}"],
     )
     return 0
@@ -618,7 +616,7 @@ def _cmd_justify_extended(cfg: ExperimentConfig) -> int:
         cfg.outdir / "extended.json",
         {
             "epsilon": eps,
-            "rho": ext.rho,
+            "rho": ext.config.rho,
             "alpha": p["alpha"],
             "A": p["big_a"],
             "t_end": float(ext.times[-1]),

@@ -9,19 +9,20 @@ Two methods cover the two flows in the package:
   structure is not separable in real coordinates; the squared l2 norm is
   monitored as the accuracy proxy instead.
 
-``integrate``, the one stepping driver outside the justification harness,
-advances an initial state to ``t_end`` in one stride loop, recording every
-``observer_stride`` steps: the state's type picks the advance (Verlet for a
-:class:`LatticeState`, RK4 for an :class:`EnvelopeState`) and the type of
-the recorded states.  Observers receive (t, state) read-only at
-every recorded sample and return named diagnostics (``{}`` for one that only
-streams the states to disk); the trajectory keeps those and the last state,
-``Trajectory.final``.  An initial state or recorded sample with a non-finite
-entry or an entry beyond 1e6 in magnitude aborts the run with
-:class:`BlowUpError` before any observer sees it.  The hard quartic potential
-makes the exact flow global, so a recorded sample that trips the guard always
-means the discretisation failed.  :func:`step_count` turns every horizon into
-steps and refuses more than ``MAX_STEPS``.
+Every stepped run goes through one stride loop, ``_strides``, which both
+``integrate`` and ``approximation.run_justification`` iterate.  ``integrate``
+advances an initial state to ``t_end``, recording every ``observer_stride``
+steps: the state's type picks the advance (Verlet for a :class:`LatticeState`,
+RK4 for an :class:`EnvelopeState`) and the type of the recorded states.
+Observers receive (t, state) read-only at every recorded sample and return
+named diagnostics (``{}`` for one that only streams the states to disk); the
+trajectory keeps those and the last state, ``Trajectory.final``.  An initial
+state or recorded sample with a non-finite entry or an entry beyond 1e6 in
+magnitude aborts the run with :class:`BlowUpError` before any observer sees
+it.  The hard quartic potential makes the exact flow global, so a recorded
+sample that trips the guard always means the discretisation failed.
+:func:`step_count` turns every horizon into steps and refuses more than
+``MAX_STEPS``.
 
 Times in a trajectory are in the model's own clock: fast time for the chain
 and the normal-form envelope, slow time for the multiscale envelopes.
@@ -64,12 +65,15 @@ __all__ = [
     "step_count",
     "BLOWUP_LIMIT",
     "MAX_STEPS",
+    "MAX_DT",
 ]
 
 BLOWUP_LIMIT = 1.0e6
 # Far above the longest run in the tests and the benchmark (1.6e6 steps), far
 # below a horizon typed with a few digits too many.
 MAX_STEPS = 10**8
+# The longest step that resolves the unit carrier frequency of the chain.
+MAX_DT = 0.1
 
 Observer = Callable[[float, object], Mapping[str, float]]
 
@@ -93,7 +97,7 @@ class IntegratorConfig:
     """Step size, horizon and recording stride.
 
     dt must resolve the unit carrier frequency of the chain, hence the
-    hard cap dt <= 0.1.
+    hard cap dt <= ``MAX_DT``.
     """
 
     dt: float
@@ -101,15 +105,15 @@ class IntegratorConfig:
     observer_stride: int = 1
 
     def __post_init__(self):
-        if not (0.0 < self.dt <= 0.1):
+        if not (0.0 < self.dt <= MAX_DT):
             raise ValueError(
-                f"dt={self.dt} must lie in (0, 0.1]: larger steps do not "
+                f"dt={self.dt} must lie in (0, {MAX_DT}]: larger steps do not "
                 "resolve the unit-frequency oscillation"
             )
         if self.t_end < self.dt:
             raise ValueError(f"t_end={self.t_end} must be >= dt={self.dt}")
         if self.observer_stride < 1:
-            raise ValueError("observer_stride must be a positive integer")
+            raise ValueError(f"stride {self.observer_stride} must be >= 1")
         step_count(self.t_end, self.dt)
 
     @property
@@ -281,6 +285,24 @@ def _check_sane(arrs: Iterable[np.ndarray], t_last_good: float, initial: bool = 
             raise BlowUpError(what, t_last_good)
 
 
+def _strides(advance: Callable[[int], tuple], config: IntegratorConfig, t0: float):
+    """Run ``config``'s steps as ``advance(k)`` calls of at most
+    ``observer_stride`` steps, where ``advance(k)`` takes k steps of
+    ``config.dt`` and returns the state's arrays; after each call, guard the
+    arrays and yield ``(t, arrays)`` with t = t0 + (steps done) * dt."""
+    n_steps, dt = config.n_steps, config.dt
+    done = 0
+    t_good = t0
+    while done < n_steps:
+        k = min(config.observer_stride, n_steps - done)
+        arrays = advance(k)
+        done += k
+        t = t0 + done * dt
+        _check_sane(arrays, t_good)
+        yield t, arrays
+        t_good = t
+
+
 def integrate(
     state0: Union[LatticeState, EnvelopeState],
     system: Union[ModelParams, DnlsModel],
@@ -336,18 +358,9 @@ def integrate(
 
     record(t0, state0)
     state = state0
-    n_steps = config.n_steps
-    done = 0
-    t_good = t0
-    while done < n_steps:
-        k = min(config.observer_stride, n_steps - done)
-        arrays = advance(k)
-        done += k
-        t = t0 + done * dt
-        _check_sane(arrays, t_good)
+    for t, arrays in _strides(advance, config, t0):
         state = make(*arrays, t)
         record(t, state)
-        t_good = t
 
     names: set[str] = set()
     for row in diag_rows:

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import NewtonDivergenceError, NewtonSingularError, RegimeError
 from .approximation import leading_order
 from .dnls_models import EnvelopeState, StandardDnls, rhs
-from .integrators import IntegratorConfig, integrate, step_count
+from .integrators import MAX_DT, IntegratorConfig, integrate, step_count
 from .lattice_core import LatticeState, ModelParams, write_csv
 
 __all__ = [
@@ -281,8 +281,8 @@ def breather_return_error(
             f"{n_periods} periods of T={period:.4f} exceed the validity "
             f"horizon 1/rho={1.0 / rho:.4f}"
         )
-    # no fewer steps than IntegratorConfig's largest step of 0.1 needs
-    steps = max(step_count(period, dt), math.ceil(period / 0.1))
+    # no fewer steps than IntegratorConfig's largest step MAX_DT needs
+    steps = max(step_count(period, dt), math.ceil(period / MAX_DT))
     h = period / steps
     config = IntegratorConfig(h, n_periods * steps * h, steps)
     state0 = build_breather_initial(profile, epsilon, rho)

@@ -362,7 +362,7 @@ class TestJustificationHarness:
             alpha=0.5,
         )
         rep = run_justification(cfg)
-        assert rep.horizon == "T0star"
+        assert rep.config.horizon == "T0star"
         assert rep.bound_scale == pytest.approx(0.1**2 * 0.1 ** (-1.5))
         assert rep.times[-1] == pytest.approx(0.05 * abs(np.log(0.1)) / 0.1, rel=1e-2)
 

@@ -46,9 +46,10 @@ class TestParsing:
         assert "config_hash" in eff
 
     def test_epsilon_range_rejected(self, capsys):
-        code, _, err = run_cli(["justify", "--epsilon", "0.6"], capsys)
-        assert code == 1
-        assert "(0, 1/2)" in err
+        for command in ("justify", "thresholds"):
+            code, _, err = run_cli([command, "--epsilon", "0.6"], capsys)
+            assert code == 1
+            assert "(0, 1/2)" in err
 
     def test_regime_violation_rejected(self, capsys):
         # rho = eps^3 is below the standard-regime window eps^2 < rho <= eps
@@ -90,6 +91,19 @@ class TestParsing:
         assert code == 1
         assert re.search(r"needs \d[\d.e+]* steps", err)
         assert f"ceiling of {MAX_STEPS} steps" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["justify", "--epsilon", "0.1", "--tau0", "1e-6"],
+        ["justify-extended", "--epsilon", "0.1", "--n", "16", "--tau0", "0.05",
+         "--dt", "5e-3", "--big-a", "1e-6", "--c-const", "0.3"],
+    ], ids=lambda argv: argv[0])
+    def test_horizon_shorter_than_step_rejected(self, argv, tmp_path, capsys):
+        # both used to run one step of dt, past their horizons of 1e-5 and
+        # 2.3e-5, and exit 0
+        code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert re.search(r"t_end=\S+ must be >= dt=", err)
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["soliton", "breather-return"])
@@ -151,7 +165,9 @@ class TestParsing:
         assert "coercive" in err
 
     @pytest.mark.parametrize("stride", ["0", "-1"])
-    @pytest.mark.parametrize("command", ["justify", "sweep", "justify-extended"])
+    @pytest.mark.parametrize(
+        "command", ["justify", "sweep", "justify-extended", "simulate-dkg", "simulate-dnls"]
+    )
     def test_nonpositive_stride_rejected(self, command, stride, tmp_path, capsys):
         code, _, err = run_cli(
             [command, "--stride", stride, "--out", str(tmp_path)], capsys
@@ -371,6 +387,8 @@ class TestJustifyCommands:
         commands = {
             "justify": ["justify", "--sweep", "0.1,0.09,0.08", "--n", "16", "--tau0", "0.05",
                         "--dt", "5e-3", "--stride", "10"],
+            "justify-extended": ["justify-extended", "--epsilon", "0.1", "--n", "16",
+                                 "--tau0", "0.05", "--dt", "5e-3", "--big-a", "0.05"],
             "dkg": ["simulate-dkg", "--n", "64", "--t-end", "2"],
             # 1201 sites: the compiled Verlet loop runs three strips
             "dkg-strips": ["simulate-dkg", "--n", "600", "--t-end", "1"],

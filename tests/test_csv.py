@@ -20,16 +20,10 @@ from dklab.solitons import BreatherReturnReport, SolitonProfile
 
 
 def _report():
+    config = approximation.JustificationConfig(epsilon=0.1, rho=0.1, a0=np.zeros(3))
     times = 0.5 * np.arange(3)
     errors = np.array([0.0, 2.5e-3, 1e-300])
-    scale = 0.1**2 / 0.1
-    sup = float(np.max(errors))
-    return JustificationReport(
-        epsilon=0.1, rho=0.1, regime="standard", horizon="T0", tau0=1.0,
-        big_a=0.5, alpha=0.5, times=times, error_norm=errors,
-        Q=np.sqrt(np.arange(3.0)), bound_scale=scale, sup_error=sup,
-        ratio=sup / scale,
-    )
+    return JustificationReport(config, times, errors, np.sqrt(np.arange(3.0)))
 
 
 def _run_command(argv, tmp_path, capsys):
