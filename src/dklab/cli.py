@@ -314,11 +314,6 @@ def _validate(command: str, params: dict) -> None:
                 _justify_config(params, e, 0, np.zeros(3, dtype=complex), horizon).validate()
             except ValueError as exc:
                 raise _CliError(str(exc)) from exc
-    if command == "soliton" and abs(params["omega_s"]) <= 1.0:
-        raise _CliError(
-            f"--omega-s {params['omega_s']} lies inside the linear band [-1, 1]; "
-            "localized profiles need |omega_s| > 1"
-        )
 
 
 def _rho_for(params: dict, eps: float) -> float:

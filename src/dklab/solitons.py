@@ -5,27 +5,33 @@ envelope equation satisfies the real algebraic system
 
     -2 Omega_s A_j + 3 nu A_j^3 = A_{j+1} + A_{j-1},
 
-with a spatially localized solution only for frequencies outside the linear
-band, |Omega_s| > 1.  In the uncoupled caricature (neighbours zeroed) the
-nontrivial roots are +-sqrt(2 Omega_s / (3 nu)), which exist on the
-Omega_s > 1 side for this sign of nonlinearity; seeding Newton's method
+with a spatially localized solution only for frequencies above the linear
+band, Omega_s > 1.  In the uncoupled caricature (neighbours zeroed) the
+nontrivial roots are +-sqrt(2 Omega_s / (3 nu)); seeding Newton's method
 with such roots on a few sites and zero elsewhere continues them to
-localized profiles on the coupled ring.  On the Omega_s > 1 side the tails
-decay geometrically with alternating sign: the linearized tail recursion
+localized profiles on the coupled ring.  The tails decay geometrically
+with alternating sign: the linearized tail recursion
 A_{j+1} + 2 Omega_s A_j + A_{j-1} = 0 has root -lambda with
 lambda = Omega_s - sqrt(Omega_s^2 - 1) in (0, 1), so |A_{j+1}/A_j| tends to
-lambda.  The Omega_s < -1 side is accepted too (the solver seeds with the
-same magnitudes and reports non-convergence honestly if the branch does not
-exist).
+lambda.  Below the band, Omega_s < -1, only the zero profile exists for
+nu > 0: at the site of largest |A_j| the left side has magnitude at least
+2 |Omega_s| |A_j| > 2 |A_j|, more than the right side can reach.  So
+Omega_s <= 1 is refused.
 
 A profile lifted through the two-harmonic ansatz at t = 0 gives chain
-initial data for an approximate breather: time-periodic to the accuracy of
-the envelope approximation, i.e. over horizons of order 1/rho.  The breather
-period is measured from the envelope phase (linear fit of the unwrapped
-argument at the profile's anchor site) rather than assumed, since the
-nonlinear frequency shift moves it away from 2 pi by O(eps).  Both the
-envelope run of that fit and the chain run of the period-return errors go
-through :func:`dklab.integrators.integrate` and its blow-up guard.
+initial data for an approximate breather.  With tau = eps t the envelope
+a = A e^{i Omega_s eps t} turns both harmonics of the ansatz, a e^{it} and
+a^3 e^{3it}, into functions of (1 + eps Omega_s) t, so the breather has the
+carrier frequency 1 + eps Omega_s and the period
+
+    T = 2 pi / (1 + eps Omega_s),
+
+exactly, with no envelope run.  It is time-periodic to the accuracy of the
+envelope approximation, i.e. over horizons of order 1/rho, and only while
+eps Omega_s, the shift of the carrier frequency, stays small: runs with
+eps Omega_s > ``MAX_EPS_OMEGA`` are refused.  The chain run of the
+period-return errors goes through :func:`dklab.integrators.integrate` and
+its blow-up guard.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import numpy as np
 
 from .errors import NewtonDivergenceError, NewtonSingularError, RegimeError
 from .approximation import leading_order
-from .dnls_models import EnvelopeState, StandardDnls, rhs
+from .dnls_models import StandardDnls, rhs
 from .integrators import MAX_DT, IntegratorConfig, integrate, step_count
 from .lattice_core import LatticeState, ModelParams, write_csv
 
@@ -49,15 +55,17 @@ __all__ = [
     "solve_soliton",
     "tail_decay_ratios",
     "build_breather_initial",
-    "measure_envelope_period",
     "breather_return_error",
     "MAX_NEWTON_N",
+    "MAX_EPS_OMEGA",
 ]
 
 _DEFECT_ACCEPT = 1e-10
 _NEWTON_TOL = 1e-12
 # Largest half-size N for the dense Newton Jacobian (425 MB peak RSS at N=2048).
 MAX_NEWTON_N = 2048
+# Largest carrier-frequency shift eps * Omega_s of a breather-return run.
+MAX_EPS_OMEGA = 0.5
 
 
 @dataclass(frozen=True)
@@ -75,11 +83,7 @@ class SolitonProfile:
         arr = np.asarray(self.A, dtype=float).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "A", arr)
-        if abs(self.Omega_s) <= 1.0:
-            raise ValueError(
-                f"Omega_s={self.Omega_s} lies inside the linear band [-1, 1]; "
-                "localized stationary envelopes need |Omega_s| > 1"
-            )
+        _check_above_band(self.Omega_s)
         if self.newton_residual > _DEFECT_ACCEPT:
             raise ValueError(
                 f"profile defect {self.newton_residual:.2e} exceeds {_DEFECT_ACCEPT}"
@@ -102,6 +106,14 @@ class SolitonProfile:
         comments = [header_comment] if header_comment else []
         sites = range(-self.n_half, len(self.A) - self.n_half)
         write_csv(path, ("j", "A"), zip(sites, self.A.tolist()), comments)
+
+
+def _check_above_band(Omega_s: float) -> None:
+    if Omega_s <= 1.0:
+        raise ValueError(
+            f"Omega_s={Omega_s} is not above the linear band [-1, 1]: localized "
+            "profiles need Omega_s > 1, and below -1 only the zero profile exists"
+        )
 
 
 def stationary_defect(A: np.ndarray, Omega_s: float, nu: float) -> np.ndarray:
@@ -130,18 +142,16 @@ def solve_soliton(
 
     ``seed_sites`` is a set of signed site indices, or a mapping
     {site: sign} for multi-site profiles with prescribed sign patterns; the
-    seed amplitude on each listed site is sign * sqrt(2 |Omega_s| / (3 nu)).
+    seed amplitude on each listed site is sign * sqrt(2 Omega_s / (3 nu)).
     An empty seed returns the trivial zero profile.  Convergence is
     quadratic near a nondegenerate solution; a numerically singular
     Jacobian raises :class:`NewtonSingularError`, and failure to reach a
     defect of 1e-10 within the iteration budget raises
-    :class:`NewtonDivergenceError` carrying the last iterate.  N above
-    ``MAX_NEWTON_N`` raises ValueError before anything is allocated.
+    :class:`NewtonDivergenceError` carrying the last iterate.  Omega_s <= 1
+    and N above ``MAX_NEWTON_N`` raise ValueError before anything is
+    allocated.
     """
-    if abs(Omega_s) <= 1.0:
-        raise ValueError(
-            f"Omega_s={Omega_s} lies inside the linear band [-1, 1]"
-        )
+    _check_above_band(Omega_s)
     if nu <= 0.0:
         raise ValueError(f"nu={nu} must be positive")
     n = 2 * N + 1
@@ -152,7 +162,7 @@ def solve_soliton(
         )
     seeds = _normalize_seed(seed_sites)
     A = np.zeros(n)
-    amp = math.sqrt(2.0 * abs(Omega_s) / (3.0 * nu))
+    amp = math.sqrt(2.0 * Omega_s / (3.0 * nu))
     for j, sign in seeds.items():
         if not (-N <= j <= N):
             raise ValueError(f"seed site {j} outside [-{N}, {N}]")
@@ -229,27 +239,11 @@ def build_breather_initial(
     return LatticeState(ans.X, ans.Xdot, 0.0)
 
 
-def measure_envelope_period(profile: SolitonProfile, epsilon: float) -> tuple[float, float]:
-    """(Omega_fit, T): envelope frequency from a linear fit of the unwrapped
-    phase at the profile's largest-amplitude site over one unit of slow time
-    (RK4 steps of 1e-3 by :func:`dklab.integrators.integrate`, under its
-    blow-up guard), and the breather period T = 2 pi / (1 + eps * Omega_fit)."""
-    anchor = int(np.argmax(np.abs(profile.A)))
-    traj = integrate(
-        EnvelopeState(profile.A, 0.0),
-        StandardDnls(profile.nu),
-        IntegratorConfig(1e-3, 1.0),
-        [lambda t, s: {"phase": np.angle(s.a[anchor])}],
-    )
-    omega_fit = float(np.polyfit(traj.times, np.unwrap(traj.diagnostics["phase"]), 1)[0])
-    period = 2.0 * math.pi / (1.0 + epsilon * omega_fit)
-    return omega_fit, period
-
-
 @dataclass
 class BreatherReturnReport:
     """Return errors ||xi(kT) - xi(0)|| + ||xi'(kT) - xi'(0)|| for
-    k = 1..n_periods, with the measured period."""
+    k = 1..n_periods, with the period T = 2 pi / (1 + eps Omega_s).
+    ``omega_fit`` holds the profile's Omega_s, which fixes T."""
 
     period: float
     omega_fit: float
@@ -265,17 +259,25 @@ def breather_return_error(
     dt: float = 1e-3,
 ) -> BreatherReturnReport:
     """Integrate the chain from the constructed breather and report the
-    mismatch with the initial state after each measured period.
+    mismatch with the initial state after each period
+    T = 2 pi / (1 + eps Omega_s) of the stationary envelope.
 
-    Refuses horizons beyond tau0/rho with tau0 = 1, past which the envelope
-    approximation no longer controls the error, then runs of more than
+    Refuses eps Omega_s above ``MAX_EPS_OMEGA``, outside the small-amplitude
+    regime, then horizons beyond tau0/rho with tau0 = 1, past which the
+    envelope approximation no longer controls the error, then runs of more than
     ``MAX_STEPS`` steps in all.  The step is snapped to divide the period
     exactly, so :func:`dklab.integrators.integrate` records the chain at kT
     without interpolation.
     """
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
-    omega_fit, period = measure_envelope_period(profile, epsilon)
+    eps_omega = epsilon * profile.Omega_s
+    if eps_omega > MAX_EPS_OMEGA:
+        raise RegimeError(
+            f"eps*Omega_s={eps_omega:g} (eps={epsilon}, Omega_s={profile.Omega_s}) "
+            f"exceeds the small-amplitude limit {MAX_EPS_OMEGA}"
+        )
+    period = 2.0 * math.pi / (1.0 + eps_omega)
     if n_periods * period > 1.0 / rho + 1e-9:
         raise RegimeError(
             f"{n_periods} periods of T={period:.4f} exceed the validity "
@@ -292,4 +294,4 @@ def breather_return_error(
     ])
     errors = traj.diagnostics["error"][1:]
     times = period * np.arange(1, n_periods + 1)
-    return BreatherReturnReport(period, omega_fit, times, errors)
+    return BreatherReturnReport(period, profile.Omega_s, times, errors)

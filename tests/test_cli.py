@@ -144,6 +144,19 @@ class TestParsing:
         assert code == 1
         assert "band" in err
 
+    @pytest.mark.parametrize("command", [
+        ["soliton"], ["breather-return", "--periods", "2"], ["simulate-dkg", "--init", "breather"],
+    ], ids=lambda argv: argv[0])
+    def test_no_profile_below_band(self, command, tmp_path, capsys):
+        # Newton used to collapse onto the zero profile and report success,
+        # so breather-return exited 0 with return errors of rounding size
+        code, _, err = run_cli(
+            [*command, "--omega-s", "-1.5", "--n", "8", "--out", str(tmp_path)], capsys
+        )
+        assert code == 1
+        assert "below -1 only the zero profile exists" in err
+        assert "Traceback" not in err
+
     def test_version(self, capsys):
         code, out, _ = run_cli(["--version"], capsys)
         assert code == 0
@@ -396,6 +409,8 @@ class TestJustifyCommands:
                                  "--t-end", "1"],
             "dnls-normalform": ["simulate-dnls", "--model", "normalform", "--epsilon", "0.2",
                                 "--n", "16", "--t-end", "1"],
+            "breather-return": ["breather-return", "--epsilon", "0.1", "--n", "32",
+                                "--periods", "1", "--dt", "5e-3"],
         }
         script = (
             "import sys\n"
@@ -470,15 +485,35 @@ class TestJustifyCommands:
         assert "initial state out of range" in err
 
     def test_breather_return_blowup_exits_one(self, tmp_path, capsys):
-        # dt = 0.05 does not resolve the chain at Omega_s = 1000; at
-        # Omega_s = 2000 the envelope RK4 step of the period fit is unstable
-        for argv in (
-            ["--omega-s", "1000", "--dt", "0.05", "--periods", "1"],
-            ["--omega-s", "2000", "--n", "8", "--periods", "1"],
+        # the two breather runs (eps * Omega_s = 50 and 100) used to blow up;
+        # the regime gate now refuses them before any step.  The onehot chain
+        # of amplitude 100 still leaves the blow-up guard, with no overflow
+        # warning on the way
+        for argv, message in (
+            (["breather-return", "--omega-s", "1000", "--dt", "0.05", "--periods", "1"],
+             "eps*Omega_s=50 (eps=0.05, Omega_s=1000.0) exceeds"),
+            (["breather-return", "--omega-s", "2000", "--n", "8", "--periods", "1"],
+             "eps*Omega_s=100 (eps=0.05, Omega_s=2000.0) exceeds"),
+            (["simulate-dkg", "--n", "4", "--init", "onehot", "--amplitude", "100",
+              "--dt", "0.1", "--t-end", "1"],
+             "state blew up during integration"),
         ):
-            with np.errstate(over="ignore", invalid="ignore"):
-                code, _, err = run_cli(
-                    ["breather-return", *argv, "--out", str(tmp_path)], capsys
-                )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _, err = run_cli([*argv, "--out", str(tmp_path)], capsys)
             assert code == 1
-            assert "blew up" in err
+            assert message in err
+            assert "Traceback" not in err
+
+    def test_breather_return_regime_gate_edge(self, tmp_path, capsys):
+        # eps * Omega_s = 0.05 * 10 is exactly MAX_EPS_OMEGA = 0.5 and runs
+        shared = ["breather-return", "--epsilon", "0.05", "--n", "16", "--periods", "1"]
+        code, _, _ = run_cli([*shared, "--omega-s", "10", "--out", str(tmp_path / "in")], capsys)
+        assert code == 0
+        code, _, err = run_cli(
+            [*shared, "--omega-s", "10.5", "--out", str(tmp_path / "out")], capsys
+        )
+        assert code == 1
+        assert "eps*Omega_s=0.525" in err
+        assert "limit 0.5" in err
+        assert "Traceback" not in err

@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from dklab.dnls_models import EnvelopeState, StandardDnls, rhs
 from dklab.errors import NewtonDivergenceError, RegimeError
+from dklab.integrators import IntegratorConfig, integrate
 from dklab.lattice_core import energy_dkg, l2_norm
 from dklab.solitons import (
+    SolitonProfile,
     breather_return_error,
     build_breather_initial,
-    measure_envelope_period,
     solve_soliton,
     stationary_defect,
     tail_decay_ratios,
@@ -114,15 +116,13 @@ class TestSolveSoliton:
             solve_soliton(0.5, 1.0, 8)
 
     def test_negative_side_of_band(self):
-        # the solver accepts Omega_s < -1 and reports the outcome honestly:
-        # from the single-site seed it converges to the staggered twin of
-        # the positive-side profile (or raises a divergence error; both are
-        # valid outcomes documented by the solver contract)
-        try:
-            prof = solve_soliton(-1.5, 1.0, 16)
-        except NewtonDivergenceError:
-            return
-        assert prof.newton_residual <= 1e-10
+        # for nu > 0 only the zero profile solves the system below the band
+        # (Newton used to collapse onto it and report success)
+        for omega_s in (-1.2, -1.5, -2.0, -3.0):
+            with pytest.raises(ValueError, match="below -1 only the zero profile"):
+                solve_soliton(omega_s, 1.0, 16)
+        with pytest.raises(ValueError, match="band"):
+            SolitonProfile(np.zeros(5), -1.5, 1.0, 0.0, 0)
 
     def test_divergence_carries_last_iterate(self):
         # a hopeless seed far outside any basin: huge frequency with a tiny
@@ -163,11 +163,20 @@ class TestBreatherConstruction:
         with pytest.raises(ValueError):
             build_breather_initial(prof, 0.05, 0.01)
 
-    def test_measured_period_matches_soliton_frequency(self):
+    def test_profile_is_stationary_under_rhs(self):
+        # a = A e^{i Omega_s tau} solves the envelope equation exactly
         prof = solve_soliton(1.5, 1.0, 32)
-        omega_fit, period = measure_envelope_period(prof, 0.05)
-        assert omega_fit == pytest.approx(1.5, rel=1e-6)
-        assert period == pytest.approx(2.0 * np.pi / (1.0 + 0.05 * 1.5), rel=1e-6)
+        a = prof.A.astype(complex)
+        deviation = rhs(StandardDnls(prof.nu), a) - 1j * prof.Omega_s * a
+        assert np.max(np.abs(deviation)) <= 1e-10
+
+    def test_envelope_run_rotates_at_omega_s(self):
+        prof = solve_soliton(1.5, 1.0, 32)
+        traj = integrate(
+            EnvelopeState(prof.A, 0.0), StandardDnls(prof.nu), IntegratorConfig(1e-3, 1.0, 1000)
+        )
+        assert traj.final.tau == pytest.approx(1.0)
+        assert np.max(np.abs(traj.final.a - prof.A * np.exp(1.5j))) <= 1e-9
 
 
 class TestBreatherReturn:
@@ -180,6 +189,13 @@ class TestBreatherReturn:
         prof = solve_soliton(1.5, 1.0, 16)
         with pytest.raises(RegimeError):
             breather_return_error(prof, 0.05, 0.05, 100)
+
+    def test_regime_gate(self):
+        # eps * Omega_s = 0.6 shifts the carrier frequency out of the
+        # small-amplitude regime; the refusal comes before any chain step
+        prof = solve_soliton(3.0, 1.0, 8)
+        with pytest.raises(RegimeError, match=r"eps=0\.2, Omega_s=3\.0\) exceeds .* 0\.5"):
+            breather_return_error(prof, 0.2, 0.2, 1)
 
     def test_coarse_dt_stays_under_step_cap(self):
         # dt = 0.1 rounds the period 5.84 to 58 steps of 0.1008, above the
