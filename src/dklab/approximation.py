@@ -363,6 +363,8 @@ class JustificationConfig:
                 raise RegimeError("A must be positive")
         if self.tau0 <= 0.0:
             raise RegimeError("tau0 must be positive")
+        if self.c0_scale < 0.0:
+            raise RegimeError(f"c0_scale={self.c0_scale} must be non-negative")
         if self.regime == "standard":
             lo = eps**2 if self.horizon == "T0" else eps ** (2.0 / (1.0 + self.alpha))
             hi = eps

@@ -30,8 +30,10 @@ Configuration values may come from a flat key-value file (``--config``,
 lines of ``name = value`` with ``#`` comments, names matching the long
 option names); explicit command-line flags override file values.
 
-Exit codes: 0 success, 1 errors (bad input, numerical failure), 2 when a
-requested bound check did not hold.
+Exit codes: 0 success, 1 errors (bad input or config file, unusable output
+directory, numerical failure, memory), each printed as one ``dklab: error:``
+line, 2 when a requested bound check did not hold.  The output directory is
+created before any work, so a run that fails before writing leaves it empty.
 """
 
 from __future__ import annotations
@@ -56,13 +58,7 @@ from .dnls_models import (
     l2_conserved,
     warn_outside_asymptotic_range,
 )
-from .errors import (
-    BlowUpError,
-    NewtonDivergenceError,
-    NewtonSingularError,
-    RegimeError,
-    ThresholdError,
-)
+from .errors import BlowUpError, NewtonDivergenceError, NewtonSingularError
 from .lattice_core import LatticeState, ModelParams, energy_dkg, l2_norm, write_csv
 
 __all__ = ["ExperimentConfig", "parse_and_validate", "run", "main"]
@@ -308,12 +304,14 @@ def _validate(command: str, params: dict) -> None:
                 raise _CliError(f"--sweep {sweep} repeats an eps value")
             if params["rho"] is not None:
                 raise _CliError("--sweep takes no --rho (single-eps runs only); use --rho-rule")
+        if params.get("svg") and len(sweep or []) < 3:
+            raise _CliError("--svg needs a --sweep of at least 3 eps values to fit a slope")
+        c_const = params.get("c_const")
+        if c_const is not None and c_const <= 0.0:
+            raise _CliError(f"--c-const {c_const} must be positive")
         horizon = "T0star" if command == "justify-extended" else "T0"
         for e in sweep or [params["epsilon"]]:
-            try:
-                _justify_config(params, e, 0, np.zeros(3, dtype=complex), horizon).validate()
-            except ValueError as exc:
-                raise _CliError(str(exc)) from exc
+            _justify_config(params, e, 0, np.zeros(3, dtype=complex), horizon).validate()
 
 
 def _rho_for(params: dict, eps: float) -> float:
@@ -336,19 +334,20 @@ def parse_and_validate(argv=None) -> ExperimentConfig:
     if ns.config:
         sub_idx = argv.index(ns.command)
         pairs = _read_config_file(ns.config)
-        sub_parser = None
-        for action in parser._subparsers._group_actions:  # noqa: SLF001
-            sub_parser = action.choices[ns.command]
+        sub_parser = parser._subparsers._group_actions[-1].choices[ns.command]  # noqa: SLF001
         tokens = _config_tokens(pairs, sub_parser)
         argv = argv[: sub_idx + 1] + tokens + argv[sub_idx + 1 :]
         ns = parser.parse_args(argv)
+    if ns.seed < 0:
+        raise _CliError(f"--seed {ns.seed} must be non-negative")
 
     params = {
         k: v for k, v in vars(ns).items() if k not in ("command", "out", "seed", "config")
     }
     if ns.command == "simulate-dnls" and params.get("dt") is None:
         nu = params["nu"] if params["model"] == "standard" else 1.0
-        params["dt"] = 1e-3 * min(1.0, 1.0 / nu)
+        # nu <= 0 keeps 1e-3 so that StandardDnls refuses nu, not the step
+        params["dt"] = 1e-3 * min(1.0, 1.0 / nu) if nu > 0.0 else 1e-3
     _validate(ns.command, params)
     hashable = dict(sorted(params.items()))
     hashable["command"] = ns.command
@@ -444,7 +443,6 @@ def _soliton_envelope(onehot: bool, amplitude: float, omega_s: float, n_half: in
 
 
 def _write_run(cfg: ExperimentConfig, traj: integrators.Trajectory, summary: dict) -> None:
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
     traj.write_csv(cfg.outdir / "trajectory.csv", cfg.config_hash)
     _write_json(cfg.outdir / "final_state.json", traj.final.to_json_dict(), cfg.config_hash)
     traj.final.write_csv(cfg.outdir / "final_state.csv", f"config_hash={cfg.config_hash}")
@@ -479,7 +477,6 @@ def _cmd_simulate_dkg(cfg: ExperimentConfig) -> int:
     ]
     with contextlib.ExitStack() as stack:
         if p["save_states"]:
-            cfg.outdir.mkdir(parents=True, exist_ok=True)
             states = stack.enter_context(open(cfg.outdir / "states.jsonl", "w"))
             states.write(json.dumps({"config_hash": cfg.config_hash}) + "\n")
 
@@ -564,7 +561,6 @@ def _run_justify_sweep(cfg: ExperimentConfig) -> int:
     jconfigs = [_justify_config(p, e, cfg.seed, _justify_envelope(p)) for e in eps_list]
     reports = [approximation.run_justification(jc) for jc in jconfigs]
 
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
     summaries = []
     for eps, report in zip(eps_list, reports):
         tag = _eps_tag(eps)
@@ -605,7 +601,6 @@ def _cmd_justify_extended(cfg: ExperimentConfig) -> int:
     ext = approximation.run_justification(_justify_config(p, eps, cfg.seed, a0, "T0star"))
     bound = c_const * ext.bound_scale
     holds = bool(ext.sup_error <= bound)
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
     ext.write_csv(cfg.outdir / "extended.csv", cfg.config_hash)
     _write_json(
         cfg.outdir / "extended.json",
@@ -630,7 +625,6 @@ def _cmd_normalform(cfg: ExperimentConfig) -> int:
     p = cfg.params
     coeffs = normal_form.sqrt_circulant(p["n"], p["epsilon"])
     cert = normal_form.decay_certificate(coeffs)
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
     payload = coeffs.to_json_dict()
     payload["decay_certificate"] = {
         "C_fit": cert.C_fit,
@@ -656,7 +650,6 @@ def _cmd_thresholds(cfg: ExperimentConfig) -> int:
         cert = normal_form.decay_certificate(coeffs)
         c_zeta0 = cert.C_fit if cert.C_fit > 0.0 else 1.0
     consts = normal_form.thresholds(c_zeta0, p["c_h1"], p["epsilon"], coeffs.Omega)
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.outdir / "thresholds.json", consts.to_json_dict(), cfg.config_hash)
     return 0
 
@@ -664,7 +657,6 @@ def _cmd_thresholds(cfg: ExperimentConfig) -> int:
 def _cmd_soliton(cfg: ExperimentConfig) -> int:
     p = cfg.params
     profile = solitons.solve_soliton(p["omega_s"], p["nu"], p["n"], p["seed_sites"])
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
     profile.write_csv(cfg.outdir / "soliton.csv", f"config_hash={cfg.config_hash}")
     _write_json(cfg.outdir / "soliton.json", profile.to_json_dict(), cfg.config_hash)
     return 0
@@ -677,7 +669,6 @@ def _cmd_breather_return(cfg: ExperimentConfig) -> int:
     report = solitons.breather_return_error(
         profile, p["epsilon"], rho, p["periods"], p["dt"]
     )
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
     write_csv(
         cfg.outdir / "breather_return.csv",
         ("k", "t", "return_error"),
@@ -712,29 +703,26 @@ _COMMANDS = {
 
 
 def run(config: ExperimentConfig) -> int:
-    """Execute a validated configuration.  Returns the process exit code:
-    0 success, 2 when a requested bound check failed."""
+    """Create the output directory, then execute a validated configuration.
+    Returns 0 on success, 2 when a requested bound check failed; a run that
+    raises before it writes leaves the directory empty."""
+    config.outdir.mkdir(parents=True, exist_ok=True)
     return _COMMANDS[config.command](config)
 
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_and_validate(argv)
-    except _CliError as exc:
-        print(f"dklab: error: {exc}", file=sys.stderr)
-        return 1
+        return run(parse_and_validate(argv))
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    try:
-        return run(cfg)
     except (
         _CliError,
+        ValueError,  # RegimeError, ThresholdError, LinAlgError, UnicodeDecodeError
         BlowUpError,
-        RegimeError,
-        ThresholdError,
         NewtonSingularError,
         NewtonDivergenceError,
-        ValueError,
+        OSError,  # unreadable --config, unusable --out
+        MemoryError,  # an --n whose arrays cannot be allocated
     ) as exc:
         print(f"dklab: error: {exc}", file=sys.stderr)
         return 1

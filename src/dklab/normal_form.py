@@ -29,13 +29,13 @@ ratios only where the short geodesic dominates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ThresholdError
-from .lattice_core import LatticeState
+from .lattice_core import LatticeState, _frozen_vector
 
 __all__ = [
     "NormalFormCoeffs",
@@ -82,13 +82,11 @@ class NormalFormCoeffs:
     omega_modes: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=float).copy()
-        b.flags.writeable = False
-        object.__setattr__(self, "b", b)
-        om = np.asarray(self.omega_modes, dtype=float).copy()
-        om.flags.writeable = False
-        object.__setattr__(self, "omega_modes", om)
-        if len(b) != self.N or len(om) != 2 * self.N + 1:
+        object.__setattr__(self, "b", _frozen_vector(self.b, "b", float))
+        object.__setattr__(
+            self, "omega_modes", _frozen_vector(self.omega_modes, "omega_modes", float)
+        )
+        if len(self.b) != self.N or len(self.omega_modes) != 2 * self.N + 1:
             raise ValueError("coefficient arrays have inconsistent lengths")
 
     def to_json_dict(self) -> dict:
@@ -306,17 +304,7 @@ class ThresholdConstants:
     rho_star_approx: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "C_zeta0": self.C_zeta0,
-            "C_h1": self.C_h1,
-            "epsilon": self.epsilon,
-            "Omega": self.Omega,
-            "f_eps": self.f_eps,
-            "gamma": self.gamma,
-            "C_star": self.C_star,
-            "rho_star": self.rho_star,
-            "rho_star_approx": self.rho_star_approx,
-        }
+        return asdict(self)
 
 
 def thresholds(

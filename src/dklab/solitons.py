@@ -37,7 +37,7 @@ its blow-up guard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -46,7 +46,7 @@ from .errors import NewtonDivergenceError, NewtonSingularError, RegimeError
 from .approximation import leading_order
 from .dnls_models import StandardDnls, rhs
 from .integrators import MAX_DT, IntegratorConfig, integrate, step_count
-from .lattice_core import LatticeState, ModelParams, write_csv
+from .lattice_core import LatticeState, ModelParams, _frozen_vector, write_csv
 
 __all__ = [
     "SolitonProfile",
@@ -80,9 +80,7 @@ class SolitonProfile:
     iterations: int
 
     def __post_init__(self):
-        arr = np.asarray(self.A, dtype=float).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "A", arr)
+        object.__setattr__(self, "A", _frozen_vector(self.A, "A", float))
         _check_above_band(self.Omega_s)
         if self.newton_residual > _DEFECT_ACCEPT:
             raise ValueError(
@@ -94,13 +92,7 @@ class SolitonProfile:
         return len(self.A) // 2
 
     def to_json_dict(self) -> dict:
-        return {
-            "Omega_s": self.Omega_s,
-            "nu": self.nu,
-            "newton_residual": self.newton_residual,
-            "iterations": self.iterations,
-            "A": self.A.tolist(),
-        }
+        return {**asdict(self), "A": self.A.tolist()}
 
     def write_csv(self, path, header_comment: str | None = None) -> None:
         comments = [header_comment] if header_comment else []

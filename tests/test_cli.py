@@ -517,3 +517,80 @@ class TestJustifyCommands:
         assert "eps*Omega_s=0.525" in err
         assert "limit 0.5" in err
         assert "Traceback" not in err
+
+
+def assert_one_error_line(code, err, *fragments):
+    lines = err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("dklab: error:"), err
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+class TestExitContract:
+    """Every failing input exits 1 through main's one handler."""
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+    def test_unreadable_config(self, kind, tmp_path, capsys):
+        # all three used to end in a traceback
+        path = tmp_path / "exp.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "undecodable":
+            path.write_bytes(b"\xff\xfe")
+        code, _, err = run_cli(
+            ["justify", "--config", str(path), "--out", str(tmp_path / "out")], capsys
+        )
+        assert_one_error_line(code, err)
+        assert not (tmp_path / "out").exists()
+
+    def test_unusable_out_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # the directory used to be made after the runs, so a bad --out
+        # surfaced as a traceback once all the work was done
+        calls = []
+        monkeypatch.setattr(
+            "dklab.approximation.run_justification", lambda config: calls.append(config)
+        )
+        (tmp_path / "file").write_text("")
+        code, _, err = run_cli(
+            ["justify", "--tau0", "0.05", "--out", str(tmp_path / "file" / "x")], capsys
+        )
+        assert_one_error_line(code, err, "Not a directory")
+        assert calls == []
+
+    @pytest.mark.parametrize("nu", ["0", "-1"])
+    def test_simulate_dnls_nonpositive_nu(self, nu, tmp_path, capsys):
+        # --nu 0 used to divide by zero deriving the default step; --nu -1
+        # blamed a "--dt -0.001" that was never passed
+        code, _, err = run_cli(
+            ["simulate-dnls", "--nu", nu, "--n", "4", "--out", str(tmp_path)], capsys
+        )
+        assert_one_error_line(code, err, f"nu={float(nu)} must be positive and finite")
+        assert "--dt" not in err
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["justify", "--c0-scale", "-1", "--tau0", "0.05"], "c0_scale=-1.0"),
+        (["justify-extended", "--c-const", "0", "--epsilon", "0.2", "--big-a", "0.01"],
+         "--c-const 0.0"),
+        (["justify-extended", "--c-const", "-1", "--epsilon", "0.2", "--big-a", "0.01"],
+         "--c-const -1.0"),
+        (["justify", "--sweep", "0.1,0.05", "--svg", "--tau0", "0.05"], "--svg"),
+        (["justify", "--seed", "-1", "--c0-scale", "1", "--tau0", "0.05"], "--seed -1"),
+    ], ids=["c0-scale", "c-const-zero", "c-const-negative", "svg-two-points", "seed"])
+    def test_ignored_or_misreported_inputs_refused(self, argv, fragment, tmp_path, capsys):
+        # these used to exit 0 (c0-scale, svg), exit 2 on a bound no run can
+        # meet (c-const) or name no option (seed)
+        code, _, err = run_cli([*argv, "--out", str(tmp_path / "out")], capsys)
+        assert_one_error_line(code, err, fragment)
+        assert not (tmp_path / "out").exists()
+
+    def test_allocation_failure(self, tmp_path, capsys, monkeypatch):
+        # injected: a real allocation this large could be granted and then
+        # exhaust the machine's memory
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+        monkeypatch.setattr("dklab.solitons.solve_soliton", refuse)
+        code, _, err = run_cli(["soliton", "--out", str(tmp_path)], capsys)
+        assert_one_error_line(code, err, "Unable to allocate 14.6 TiB")
