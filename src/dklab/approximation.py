@@ -44,6 +44,13 @@ theoretical scale rho^-1 eps^p (p = 2 standard, p = 3 generalized) over the
 horizon tau0/rho, or rho^(-1-alpha) eps^p over the extended horizon
 A |log rho| / rho.  The constants in those bounds are never asserted:
 sweeps over eps fit the observed scaling exponent instead.
+
+The two regimes are one family, indexed by p in ``REGIME_EXPONENTS``
+= {"standard": 2, "generalized": 3}: rho lies in (eps^p, eps^(p-1)] on the
+horizon tau0/rho, in (eps^(p/(1+alpha)), eps^(p-1)] with
+0 < alpha < 1/(p-1) on the extended one, and the envelope's cubic
+coefficient is rho/eps^(p-1) (nu or delta).  eps^2 is eps * eps throughout:
+in the window ends, the default rho eps^(p-1) and delta.
 """
 
 from __future__ import annotations
@@ -66,6 +73,9 @@ __all__ = [
     "AnsatzSample",
     "JustificationConfig",
     "JustificationReport",
+    "REGIME_EXPONENTS",
+    "envelope_model",
+    "window_top",
     "leading_order",
     "residual_direct",
     "residual_expanded",
@@ -77,6 +87,25 @@ __all__ = [
 
 # Longest envelope RK4 substep of run_justification, in slow time.
 ENVELOPE_SUBSTEP = 1e-3
+
+REGIME_EXPONENTS = {"standard": 2, "generalized": 3}
+
+
+def window_top(regime: str, epsilon: float) -> float:
+    """eps^(p-1), the top of the regime's rho window and the CLI's default
+    rho, as a product of p-1 factors, so that eps^2 is eps * eps."""
+    if regime not in REGIME_EXPONENTS:
+        raise RegimeError(f"unknown regime {regime!r}")
+    return math.prod([epsilon] * (REGIME_EXPONENTS[regime] - 1))
+
+
+def envelope_model(regime: str, epsilon: float, rho: float) -> DnlsModel:
+    """The slow-clock envelope model of ``regime`` at (eps, rho), with cubic
+    coefficient rho/eps^(p-1): nu = rho/eps or delta = rho/eps^2."""
+    coefficient = rho / window_top(regime, epsilon)
+    if regime == "standard":
+        return StandardDnls(coefficient)
+    return GeneralizedDnls(coefficient, epsilon)
 
 
 @dataclass(frozen=True)
@@ -139,31 +168,12 @@ def _ansatz_acceleration(
     return 2.0 * np.real(g1 * e1) + 0.25 * rho * np.real(g3 * e3)
 
 
-def _check_residual_model(model: DnlsModel, epsilon: float, rho: float) -> None:
-    if isinstance(model, StandardDnls):
-        if abs(model.nu * epsilon - rho) > 1e-9 * max(1.0, rho):
-            raise ValueError(
-                f"standard model with nu={model.nu} does not match rho/eps="
-                f"{rho / epsilon}: the carrier-group cancellation requires nu = rho/eps"
-            )
-    elif isinstance(model, GeneralizedDnls):
-        if abs(model.delta * epsilon**2 - rho) > 1e-9 * max(1.0, rho):
-            raise ValueError(
-                f"generalized model with delta={model.delta} does not match "
-                f"rho/eps^2={rho / epsilon**2}"
-            )
-        if abs(model.epsilon - epsilon) > 1e-12:
-            raise ValueError("model epsilon differs from the chain coupling")
-    else:
-        raise TypeError("residuals are defined for the slow-clock envelope models only")
-
-
 def residual_direct(
-    a: np.ndarray, model: DnlsModel, epsilon: float, rho: float, t: float
+    a: np.ndarray, regime: str, epsilon: float, rho: float, t: float
 ) -> np.ndarray:
     """Chain defect of the ansatz, Res = X'' + X + rho X^3 - eps (X_+ + X_-),
-    with X'' assembled from exact envelope derivatives."""
-    _check_residual_model(model, epsilon, rho)
+    with X'' assembled from exact derivatives of the ``regime``'s envelope."""
+    model = envelope_model(regime, epsilon, rho)
     a = np.asarray(a, dtype=complex)
     adot = rhs(model, a)
     addot = second_derivative(a, model)
@@ -173,7 +183,7 @@ def residual_direct(
 
 
 def residual_expanded(
-    a: np.ndarray, model: DnlsModel, epsilon: float, rho: float, t: float
+    a: np.ndarray, regime: str, epsilon: float, rho: float, t: float
 ) -> np.ndarray:
     """The same defect written out in its seven harmonic groups.
 
@@ -187,7 +197,7 @@ def residual_expanded(
     Identical to ``residual_direct`` up to rounding; kept as an independent
     transcription for cross-validation.
     """
-    _check_residual_model(model, epsilon, rho)
+    model = envelope_model(regime, epsilon, rho)
     a = np.asarray(a, dtype=complex)
     adot = rhs(model, a)
     addot = second_derivative(a, model)
@@ -196,7 +206,7 @@ def residual_expanded(
     u = 2.0 * np.real(a * e1)  # a e^{it} + c.c.
     w = 2.0 * np.real(a**3 * e3)  # a^3 e^{3it} + c.c.
 
-    if isinstance(model, StandardDnls):
+    if regime == "standard":
         g_carrier = epsilon**2 * 2.0 * np.real(addot * e1)
     else:
         lin2 = np.roll(a, -2) + 2.0 * a + np.roll(a, 2)
@@ -296,8 +306,8 @@ def fit_scaling_exponent(pairs: Sequence[tuple[float, float]]) -> tuple[float, f
 class JustificationConfig:
     """One co-integration experiment.
 
-    ``regime`` selects the envelope model ('standard': nu = rho/eps,
-    'generalized': delta = rho/eps^2).  ``horizon`` is 'T0' for the span
+    ``regime`` selects the envelope model and the rho window through its
+    exponent p (``REGIME_EXPONENTS``).  ``horizon`` is 'T0' for the span
     tau0/rho or 'T0star' for the extended span A |log rho| / rho (with the
     exponent penalty alpha).  The chain starts exactly on the ansatz unless
     ``c0_scale`` > 0, which adds a seeded random perturbation of l2 size
@@ -321,10 +331,6 @@ class JustificationConfig:
         object.__setattr__(self, "a0", np.asarray(self.a0, dtype=complex))
 
     @property
-    def exponent(self) -> int:
-        return 2 if self.regime == "standard" else 3
-
-    @property
     def t_end(self) -> float:
         if self.horizon == "T0":
             return self.tau0 / self.rho
@@ -332,7 +338,7 @@ class JustificationConfig:
 
     @property
     def bound_scale(self) -> float:
-        p = self.exponent
+        p = REGIME_EXPONENTS[self.regime]
         if self.horizon == "T0":
             return self.epsilon**p / self.rho
         return self.epsilon**p * self.rho ** (-1.0 - self.alpha)
@@ -348,12 +354,12 @@ class JustificationConfig:
             raise RegimeError(
                 f"epsilon={eps} must lie in (0, 1/4) so the error energy is coercive"
             )
-        if self.regime not in ("standard", "generalized"):
-            raise RegimeError(f"unknown regime {self.regime!r}")
+        hi = window_top(self.regime, eps)
+        p = REGIME_EXPONENTS[self.regime]
         if self.horizon not in ("T0", "T0star"):
             raise RegimeError(f"unknown horizon {self.horizon!r}")
         if self.horizon == "T0star":
-            amax = 1.0 if self.regime == "standard" else 0.5
+            amax = 1.0 / (p - 1)
             if not (0.0 < self.alpha < amax):
                 raise RegimeError(
                     f"alpha={self.alpha} must lie in (0, {amax}) for the "
@@ -365,20 +371,15 @@ class JustificationConfig:
             raise RegimeError("tau0 must be positive")
         if self.c0_scale < 0.0:
             raise RegimeError(f"c0_scale={self.c0_scale} must be non-negative")
-        if self.regime == "standard":
-            lo = eps**2 if self.horizon == "T0" else eps ** (2.0 / (1.0 + self.alpha))
-            hi = eps
-            desc = "eps^2 << rho <= eps" if self.horizon == "T0" else \
-                "eps^(2/(1+alpha)) << rho <= eps"
+        top = "eps" if p == 2 else f"eps^{p - 1}"
+        if self.horizon == "T0":
+            lo, bottom = hi * eps, f"eps^{p}"
         else:
-            lo = eps**3 if self.horizon == "T0" else eps ** (3.0 / (1.0 + self.alpha))
-            hi = eps**2
-            desc = "eps^3 << rho <= eps^2" if self.horizon == "T0" else \
-                "eps^(3/(1+alpha)) << rho <= eps^2"
+            lo, bottom = eps ** (p / (1.0 + self.alpha)), f"eps^({p}/(1+alpha))"
         if not (lo < rho <= hi):
             raise RegimeError(
-                f"rho={rho} violates the {self.regime} regime {desc} at eps={eps} "
-                f"(allowed interval ({lo:g}, {hi:g}])"
+                f"rho={rho} violates the {self.regime} regime {bottom} << rho <= {top} "
+                f"at eps={eps} (allowed interval ({lo:g}, {hi:g}])"
             )
         if len(self.a0) != 0 and (len(self.a0) % 2 == 0 or len(self.a0) < 3):
             raise RegimeError("a0 must have odd length >= 3")
@@ -386,11 +387,6 @@ class JustificationConfig:
             self.plan  # IntegratorConfig checks dt, the stride and the horizon
         except ValueError as exc:
             raise RegimeError(str(exc)) from exc
-
-    def _make_model(self) -> DnlsModel:
-        if self.regime == "standard":
-            return StandardDnls(self.rho / self.epsilon)
-        return GeneralizedDnls(self.rho / self.epsilon**2, self.epsilon)
 
 
 @dataclass
@@ -462,7 +458,7 @@ def run_justification(config: JustificationConfig) -> JustificationReport:
     config.validate()
     plan = config.plan
     eps, rho, dt = config.epsilon, config.rho, plan.dt
-    model = config._make_model()
+    model = envelope_model(config.regime, eps, rho)
 
     a = config.a0.astype(complex)
     norm_a = l2_norm(a)

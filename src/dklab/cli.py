@@ -203,9 +203,11 @@ def _build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--epsilon", type=float, default=0.05)
-        p.add_argument("--regime", choices=("standard", "generalized"), default="standard")
-        p.add_argument("--rho-rule", choices=("eps", "eps2"), default=None,
-                       help="rho = eps or eps^2 (default matches the regime)")
+        p.add_argument("--regime", choices=tuple(approximation.REGIME_EXPONENTS),
+                       default="standard")
+        p.add_argument("--rho-rule", choices=tuple(_RHO_RULES), default=None,
+                       help="rho = eps or eps^2, the window top of the standard or "
+                            "generalized regime; only the regime's own rule is accepted")
         p.add_argument("--rho", type=float, default=None,
                        help="explicit rho (single-eps runs only)")
         p.add_argument("--n", type=int, default=64)
@@ -312,15 +314,19 @@ def _validate(command: str, params: dict) -> None:
         horizon = "T0star" if command == "justify-extended" else "T0"
         for e in sweep or [params["epsilon"]]:
             _justify_config(params, e, 0, np.zeros(3, dtype=complex), horizon).validate()
+            if params["a0"] == "soliton":  # refuses eps Omega_s > MAX_EPS_OMEGA
+                solitons.carrier_shift(e, params["omega_s"])
+
+
+# --rho-rule value -> the regime whose window top eps^(p-1) it names
+_RHO_RULES = {"eps": "standard", "eps2": "generalized"}
 
 
 def _rho_for(params: dict, eps: float) -> float:
     if params.get("rho") is not None:
         return params["rho"]
-    rule = params.get("rho_rule")
-    if rule is None:
-        rule = "eps" if params.get("regime", "standard") == "standard" else "eps2"
-    return eps if rule == "eps" else eps * eps
+    regime = _RHO_RULES.get(params.get("rho_rule"), params["regime"])
+    return approximation.window_top(regime, eps)
 
 
 def parse_and_validate(argv=None) -> ExperimentConfig:
@@ -561,12 +567,8 @@ def _run_justify_sweep(cfg: ExperimentConfig) -> int:
     jconfigs = [_justify_config(p, e, cfg.seed, _justify_envelope(p)) for e in eps_list]
     reports = [approximation.run_justification(jc) for jc in jconfigs]
 
-    summaries = []
-    for eps, report in zip(eps_list, reports):
-        tag = _eps_tag(eps)
-        report.write_csv(cfg.outdir / f"report_eps{tag}.csv", cfg.config_hash)
-        summaries.append(report.summary_dict())
-    payload: dict = {"points": summaries}
+    # fit before any write, so a failed fit leaves the output directory empty
+    payload: dict = {"points": [r.summary_dict() for r in reports]}
     if len(reports) >= 3:
         pairs = [(r.config.epsilon, r.sup_error) for r in reports]
         slope, r2 = approximation.fit_scaling_exponent(pairs)
@@ -579,6 +581,8 @@ def _run_justify_sweep(cfg: ExperimentConfig) -> int:
             _write_svg_loglog(
                 cfg.outdir / "sweep.svg", pairs, slope, intercept, cfg.config_hash
             )
+    for eps, report in zip(eps_list, reports):
+        report.write_csv(cfg.outdir / f"report_eps{_eps_tag(eps)}.csv", cfg.config_hash)
     _write_json(cfg.outdir / "summary.json", payload, cfg.config_hash)
     write_csv(
         cfg.outdir / "sweep.csv",

@@ -194,16 +194,6 @@ class ModelParams:
     def n_sites(self) -> int:
         return 2 * self.N + 1
 
-    @property
-    def nu(self) -> float:
-        """Cubic coefficient rho/eps of the standard envelope equation."""
-        return self.rho / self.epsilon
-
-    @property
-    def delta(self) -> float:
-        """Cubic coefficient rho/eps^2 of the generalized envelope equation."""
-        return self.rho / self.epsilon**2
-
 
 def energy_dkg(state: LatticeState, epsilon: float, rho: float = 1.0) -> float:
     """Conserved energy of the chain,

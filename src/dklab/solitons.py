@@ -28,10 +28,10 @@ carrier frequency 1 + eps Omega_s and the period
 
 exactly, with no envelope run.  It is time-periodic to the accuracy of the
 envelope approximation, i.e. over horizons of order 1/rho, and only while
-eps Omega_s, the shift of the carrier frequency, stays small: runs with
-eps Omega_s > ``MAX_EPS_OMEGA`` are refused.  The chain run of the
-period-return errors goes through :func:`dklab.integrators.integrate` and
-its blow-up guard.
+eps Omega_s, the shift of the carrier frequency, stays small:
+``carrier_shift`` refuses eps Omega_s > ``MAX_EPS_OMEGA`` here and in the
+justify family's soliton runs.  The chain run of the period-return errors
+goes through :func:`dklab.integrators.integrate` and its blow-up guard.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ __all__ = [
     "tail_decay_ratios",
     "build_breather_initial",
     "breather_return_error",
+    "carrier_shift",
     "MAX_NEWTON_N",
     "MAX_EPS_OMEGA",
 ]
@@ -231,6 +232,19 @@ def build_breather_initial(
     return LatticeState(ans.X, ans.Xdot, 0.0)
 
 
+def carrier_shift(epsilon: float, Omega_s: float) -> float:
+    """eps * Omega_s, the carrier-frequency shift of a soliton envelope on
+    the chain; RegimeError above ``MAX_EPS_OMEGA``, outside the
+    small-amplitude regime."""
+    eps_omega = epsilon * Omega_s
+    if eps_omega > MAX_EPS_OMEGA:
+        raise RegimeError(
+            f"eps*Omega_s={eps_omega:g} (eps={epsilon}, Omega_s={Omega_s}) "
+            f"exceeds the small-amplitude limit {MAX_EPS_OMEGA}"
+        )
+    return eps_omega
+
+
 @dataclass
 class BreatherReturnReport:
     """Return errors ||xi(kT) - xi(0)|| + ||xi'(kT) - xi'(0)|| for
@@ -263,13 +277,7 @@ def breather_return_error(
     """
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
-    eps_omega = epsilon * profile.Omega_s
-    if eps_omega > MAX_EPS_OMEGA:
-        raise RegimeError(
-            f"eps*Omega_s={eps_omega:g} (eps={epsilon}, Omega_s={profile.Omega_s}) "
-            f"exceeds the small-amplitude limit {MAX_EPS_OMEGA}"
-        )
-    period = 2.0 * math.pi / (1.0 + eps_omega)
+    period = 2.0 * math.pi / (1.0 + carrier_shift(epsilon, profile.Omega_s))
     if n_periods * period > 1.0 / rho + 1e-9:
         raise RegimeError(
             f"{n_periods} periods of T={period:.4f} exceed the validity "

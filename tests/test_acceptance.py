@@ -17,10 +17,12 @@ import pytest
 
 from dklab.approximation import (
     JustificationConfig,
+    envelope_model,
     fit_scaling_exponent,
     residual_direct,
     residual_expanded,
     run_justification,
+    window_top,
 )
 from dklab.dnls_models import (
     GeneralizedDnls,
@@ -82,13 +84,11 @@ def test_01_residual_transcription_identity(soliton32):
     worst = 0.0
     for _ in range(20):
         a = 0.5 * (rng.standard_normal(65) + 1j * rng.standard_normal(65))
-        for model, rho in (
-            (StandardDnls(1.0), eps),
-            (GeneralizedDnls(1.0, eps), eps**2),
-        ):
+        for regime in ("standard", "generalized"):
+            rho = window_top(regime, eps)
             for t in (0.0, 1.3):
-                d = residual_direct(a, model, eps, rho, t)
-                e = residual_expanded(a, model, eps, rho, t)
+                d = residual_direct(a, regime, eps, rho, t)
+                e = residual_expanded(a, regime, eps, rho, t)
                 worst = max(worst, float(np.max(np.abs(d - e))))
     elapsed = time.time() - t0
     ok = worst <= 1e-11 and elapsed < 1.0
@@ -105,12 +105,8 @@ def test_02_residual_scaling(soliton32):
     for regime, p in (("standard", 2), ("generalized", 3)):
         sups = {}
         for eps in EPS_SWEEP:
-            rho = eps if regime == "standard" else eps**2
-            model = (
-                StandardDnls(rho / eps)
-                if regime == "standard"
-                else GeneralizedDnls(rho / eps**2, eps)
-            )
+            rho = window_top(regime, eps)
+            model = envelope_model(regime, eps, rho)
             fun = lambda z: rhs(model, z)  # noqa: E731
             a = a0.copy()
             dtau = 1e-3
@@ -119,7 +115,7 @@ def test_02_residual_scaling(soliton32):
                 a = _rk4_step(a, fun, dtau)
                 if (i + 1) % 10 == 0:
                     t = (i + 1) * dtau / eps
-                    sup = max(sup, float(np.linalg.norm(residual_direct(a, model, eps, rho, t))))
+                    sup = max(sup, float(np.linalg.norm(residual_direct(a, regime, eps, rho, t))))
             sups[eps] = sup / eps**p
         spread = max(sups.values()) / min(sups.values())
         ok = ok and spread <= 2.0

@@ -12,8 +12,9 @@ from dklab.approximation import (
     residual_direct,
     residual_expanded,
     run_justification,
+    window_top,
 )
-from dklab.dnls_models import GeneralizedDnls, NormalFormDnls, StandardDnls, rhs
+from dklab.dnls_models import StandardDnls, rhs
 from dklab.errors import BlowUpError, RegimeError
 from dklab.solitons import solve_soliton
 
@@ -82,37 +83,31 @@ class TestResidualIdentity:
         rng = np.random.default_rng(seed)
         a = random_envelope(rng)
         eps = 0.1
-        if regime == "standard":
-            rho = eps
-            model = StandardDnls(rho / eps)
-        else:
-            rho = eps**2
-            model = GeneralizedDnls(rho / eps**2, eps)
+        rho = window_top(regime, eps)
         scale = max(1.0, np.max(np.abs(a)) ** 3)
         for t in (0.0, 0.9, 17.3):
-            d = residual_direct(a, model, eps, rho, t)
-            e = residual_expanded(a, model, eps, rho, t)
+            d = residual_direct(a, regime, eps, rho, t)
+            e = residual_expanded(a, regime, eps, rho, t)
             assert np.max(np.abs(d - e)) <= 1e-11 * scale
 
     def test_zero_envelope(self):
         a = np.zeros(9, dtype=complex)
-        assert np.all(residual_direct(a, StandardDnls(1.0), 0.1, 0.1, 0.3) == 0.0)
-        assert np.all(residual_expanded(a, StandardDnls(1.0), 0.1, 0.1, 0.3) == 0.0)
+        assert np.all(residual_direct(a, "standard", 0.1, 0.1, 0.3) == 0.0)
+        assert np.all(residual_expanded(a, "standard", 0.1, 0.1, 0.3) == 0.0)
 
     def test_mismatched_model_rejected(self):
+        # residuals are defined for the two slow-clock regimes only
         a = np.zeros(9, dtype=complex)
-        with pytest.raises(ValueError):
-            residual_direct(a, StandardDnls(0.5), 0.1, 0.1, 0.0)  # nu != rho/eps
-        with pytest.raises(TypeError):
-            residual_direct(a, NormalFormDnls(1.0, -0.1), 0.1, 0.1, 0.0)
+        for residual in (residual_direct, residual_expanded):
+            with pytest.raises(RegimeError, match="unknown regime 'normalform'"):
+                residual(a, "normalform", 0.1, 0.1, 0.0)
 
     def test_residual_scaling_single_eps(self):
         # ||Res|| = O(eps^2) at rho = eps (full sweep in the acceptance suite)
         profile = solve_soliton(1.5, 1.0, 32)
         a = profile.A.astype(complex)
         for eps, bound in ((0.1, 10.0), (0.05, 10.0)):
-            model = StandardDnls(1.0)
-            r = residual_direct(a, model, eps, eps, 0.4)
+            r = residual_direct(a, "standard", eps, eps, 0.4)
             assert np.linalg.norm(r) <= bound * eps**2
 
 
@@ -185,7 +180,7 @@ class TestErrorEnergy:
             e, _ = error_energy(yerr, yderr, ans.X, eps, rho)
             energies.append(e)
             if step == 1:
-                res = residual_direct(a, model, eps, rho, t)
+                res = residual_direct(a, "standard", eps, rho, t)
                 rate_mid = error_energy_rate(yerr, yderr, ans.X, ans.Xdot, res, rho)
             _advance_verlet(x, ydot, f, eps, rho, dt, 1)
             a = _rk4_step(a, fun, eps * dt)
@@ -222,7 +217,7 @@ class TestErrorEnergy:
             qs.append(q)
             if step == 1:
                 res_norm = float(
-                    np.linalg.norm(residual_direct(a, model, eps, rho, t))
+                    np.linalg.norm(residual_direct(a, "standard", eps, rho, t))
                 )
                 nx, nxd = l2_norm(ans.X), l2_norm(ans.Xdot)
                 mid = res_norm + 6 * rho * q * nx * nxd + 12 * rho * q**2 * nx + 8 * rho * q**3

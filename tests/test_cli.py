@@ -338,6 +338,18 @@ class TestJustifyCommands:
         csvs = list(tmp_path.glob("report_eps*.csv"))
         assert len(csvs) == 1
 
+    @pytest.mark.filterwarnings("ignore:envelope magnitude")
+    def test_generalized_default_rho_at_window_top(self, tmp_path, capsys):
+        # rho = eps * eps is one ulp above eps**2 here and used to be refused
+        eps = 0.06395319443893904
+        code, _, err = run_cli(
+            ["justify", "--regime", "generalized", "--epsilon", repr(eps), "--n", "16",
+             "--tau0", "0.05", "--dt", "5e-3", "--out", str(tmp_path)], capsys
+        )
+        assert code == 0, err
+        pt = json.loads((tmp_path / "summary.json").read_text())["points"][0]
+        assert pt["rho"] == eps * eps != eps**2
+
     def test_onehot_initial_envelope(self, tmp_path, capsys):
         code, _, _ = run_cli(
             ["justify", "--epsilon", "0.1", "--n", "16", "--tau0", "0.05",
@@ -577,13 +589,29 @@ class TestExitContract:
          "--c-const -1.0"),
         (["justify", "--sweep", "0.1,0.05", "--svg", "--tau0", "0.05"], "--svg"),
         (["justify", "--seed", "-1", "--c0-scale", "1", "--tau0", "0.05"], "--seed -1"),
-    ], ids=["c0-scale", "c-const-zero", "c-const-negative", "svg-two-points", "seed"])
+        (["justify", "--rho-rule", "eps2", "--epsilon", "0.06395319443893904"],
+         "violates the standard regime eps^2 << rho <= eps"),
+        (["justify", "--omega-s", "100", "--n", "32", "--tau0", "0.2", "--dt", "5e-3"],
+         "eps*Omega_s=5 (eps=0.05, Omega_s=100.0) exceeds the small-amplitude limit 0.5"),
+    ], ids=["c0-scale", "c-const-zero", "c-const-negative", "svg-two-points", "seed",
+            "rho-rule-eps2-edge", "omega-s-soliton"])
     def test_ignored_or_misreported_inputs_refused(self, argv, fragment, tmp_path, capsys):
-        # these used to exit 0 (c0-scale, svg), exit 2 on a bound no run can
-        # meet (c-const) or name no option (seed)
+        # these used to exit 0 (c0-scale, svg, rho-rule-eps2-edge at rho =
+        # eps * eps just above eps**2, omega-s-soliton with error ratio
+        # 5384), exit 2 on a bound no run can meet (c-const) or name no
+        # option (seed)
         code, _, err = run_cli([*argv, "--out", str(tmp_path / "out")], capsys)
         assert_one_error_line(code, err, fragment)
         assert not (tmp_path / "out").exists()
+
+    def test_failed_sweep_fit_leaves_out_empty(self, tmp_path, capsys):
+        # the three report CSVs used to be written before the slope fit failed
+        code, _, err = run_cli(
+            ["justify", "--a0", "onehot", "--amplitude-scale", "0", "--sweep", "0.1,0.09,0.08",
+             "--n", "16", "--tau0", "0.05", "--dt", "5e-3", "--out", str(tmp_path)], capsys
+        )
+        assert_one_error_line(code, err, "scaling fits need strictly positive data")
+        assert list(tmp_path.iterdir()) == []
 
     def test_allocation_failure(self, tmp_path, capsys, monkeypatch):
         # injected: a real allocation this large could be granted and then

@@ -135,11 +135,6 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(0.1, 0.1, 0)
 
-    def test_derived_ratios(self):
-        mp = ModelParams(0.05, 0.0025, 4)
-        assert mp.nu == pytest.approx(0.05)
-        assert mp.delta == pytest.approx(1.0)
-
 
 class TestRescale:
     def test_direct_value(self):

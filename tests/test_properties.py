@@ -5,24 +5,29 @@ test_lattice_core.py: the periodic pair sum against its np.roll
 definition, the shift equivariance, phase equivariance and norm
 conservation of every envelope right-hand side, the CSV and JSON
 round trips of the chain and envelope states, the identity of the direct
-and expanded residuals, and the compiled kernels: the chain's Verlet loop,
-the envelope stencil and the RK4 step, each bit-identical to its numpy
-reference, and the Verlet loop time-reversible.
+and expanded residuals, the justify family's rho windows, and the compiled
+kernels: the chain's Verlet loop, the envelope stencil and the RK4 step,
+each bit-identical to its numpy reference, and the Verlet loop
+time-reversible.
 """
 
 import json
+import math
 import os
 import re
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dklab import _native
-from dklab.approximation import residual_direct, residual_expanded
+from dklab.approximation import (
+    REGIME_EXPONENTS, residual_direct, residual_expanded, window_top
+)
+from dklab.cli import parse_and_validate
 from dklab.dnls_models import (
     EnvelopeState,
     GeneralizedDnls,
@@ -31,6 +36,7 @@ from dklab.dnls_models import (
     _flow,
     rhs,
 )
+from dklab.errors import RegimeError
 from dklab.integrators import (
     _advance_verlet,
     _advance_verlet_numpy,
@@ -129,17 +135,35 @@ def test_rhs_conserves_norm(model, a):
        epsilon=st.floats(min_value=1e-3, max_value=0.49), ratio=unit,
        t=st.floats(min_value=0.0, max_value=20.0))
 def test_residual_direct_equals_expanded(a, regime, epsilon, ratio, t):
-    # rho = nu eps (standard) or delta eps^2 (generalized), with nu, delta
-    # in (0, 1]; the tolerance is test_approximation's TestResidualIdentity's
-    if regime == "standard":
-        rho = ratio * epsilon
-        model = StandardDnls(rho / epsilon)
-    else:
-        rho = ratio * epsilon**2
-        model = GeneralizedDnls(rho / epsilon**2, epsilon)
-    d = residual_direct(a, model, epsilon, rho, t)
-    e = residual_expanded(a, model, epsilon, rho, t)
+    # rho = ratio eps^(p-1), so nu or delta = ratio lies in (0, 1]; the
+    # tolerance is test_approximation's TestResidualIdentity's
+    rho = ratio * window_top(regime, epsilon)
+    d = residual_direct(a, regime, epsilon, rho, t)
+    e = residual_expanded(a, regime, epsilon, rho, t)
     assert np.max(np.abs(d - e)) <= 1e-11 * max(1.0, np.max(np.abs(a)) ** 3)
+
+
+@given(epsilon=st.floats(min_value=1e-4, max_value=0.25, exclude_min=True, exclude_max=True),
+       regime=st.sampled_from(["standard", "generalized"]),
+       extended=st.booleans(), alpha_share=st.floats(min_value=0.01, max_value=0.99))
+@example(epsilon=0.06395319443893904, regime="generalized", extended=False, alpha_share=0.5)
+@example(epsilon=0.06395319443893904, regime="standard", extended=False, alpha_share=0.5)
+def test_only_the_default_rho_rule_lies_in_the_window(epsilon, regime, extended, alpha_share):
+    # eps * eps and eps**2 differ by one ulp at some eps (0.0639... is one):
+    # the default rho must be the window's top and the standard eps2 rule
+    # its open lower end, on both horizons, with alpha inside (0, 1/(p-1))
+    p = REGIME_EXPONENTS[regime]
+    top = epsilon ** (p - 1)  # about rho: holds either horizon near t = 1
+    argv = ["--regime", regime, "--epsilon", repr(epsilon), "--tau0", repr(top)]
+    if extended:
+        argv = ["justify-extended", *argv, "--alpha", repr(alpha_share / (p - 1)),
+                "--big-a", repr(top / abs(math.log(top)))]
+    else:
+        argv = ["justify", *argv]
+    parse_and_validate(argv)
+    other = "eps2" if regime == "standard" else "eps"
+    with pytest.raises(RegimeError, match="violates the"):
+        parse_and_validate([*argv, "--rho-rule", other])
 
 
 # every finite float, with signed zero, subnormals and +-1e308 always drawn
