@@ -304,19 +304,20 @@ def fit_scaling_exponent(pairs: Sequence[tuple[float, float]]) -> tuple[float, f
 
 @dataclass(frozen=True)
 class JustificationConfig:
-    """One co-integration experiment.
+    """One co-integration experiment, checked when it is built.
 
     ``regime`` selects the envelope model and the rho window through its
     exponent p (``REGIME_EXPONENTS``).  ``horizon`` is 'T0' for the span
     tau0/rho or 'T0star' for the extended span A |log rho| / rho (with the
     exponent penalty alpha).  The chain starts exactly on the ansatz unless
     ``c0_scale`` > 0, which adds a seeded random perturbation of l2 size
-    c0_scale * rho^-1 eps^p to exercise imperfect initial data.
+    c0_scale * rho^-1 eps^p to exercise imperfect initial data.  A config
+    outside its regime, or whose horizon is not a valid step plan, raises
+    :class:`RegimeError`.
     """
 
     epsilon: float
     rho: float
-    a0: np.ndarray
     regime: str = "standard"
     horizon: str = "T0"
     tau0: float = 1.0
@@ -326,9 +327,6 @@ class JustificationConfig:
     sample_stride: int = 100
     c0_scale: float = 0.0
     seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "a0", np.asarray(self.a0, dtype=complex))
 
     @property
     def t_end(self) -> float:
@@ -348,7 +346,7 @@ class JustificationConfig:
         """The chain's steps: dt, the horizon ``t_end`` and the sample stride."""
         return IntegratorConfig(self.dt, self.t_end, self.sample_stride)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         eps, rho = self.epsilon, self.rho
         if not (0.0 < eps < 0.25):
             raise RegimeError(
@@ -381,8 +379,6 @@ class JustificationConfig:
                 f"rho={rho} violates the {self.regime} regime {bottom} << rho <= {top} "
                 f"at eps={eps} (allowed interval ({lo:g}, {hi:g}])"
             )
-        if len(self.a0) != 0 and (len(self.a0) % 2 == 0 or len(self.a0) < 3):
-            raise RegimeError("a0 must have odd length >= 3")
         try:
             self.plan  # IntegratorConfig checks dt, the stride and the horizon
         except ValueError as exc:
@@ -443,9 +439,9 @@ class JustificationReport:
         write_csv(path, ("t", "error_norm", "Q", "bound_scale"), rows, comments)
 
 
-def run_justification(config: JustificationConfig) -> JustificationReport:
-    """Co-integrate chain and envelope from matched initial data and sample
-    the approximation error on a uniform grid.
+def run_justification(config: JustificationConfig, a0: np.ndarray) -> JustificationReport:
+    """Co-integrate chain and envelope from the envelope ``a0`` (odd length
+    >= 3) and matched chain data; sample the approximation error uniformly.
 
     The chain advances with velocity Verlet on the fast clock, over the steps
     of ``config.plan`` and through the stride loop that :func:`integrate`
@@ -455,12 +451,13 @@ def run_justification(config: JustificationConfig) -> JustificationReport:
     and envelope share the ``BLOWUP_LIMIT`` guard of :func:`integrate`, from
     the initial state on.
     """
-    config.validate()
+    a = np.array(a0, dtype=complex)
+    if len(a) % 2 == 0 or len(a) < 3:
+        raise RegimeError("a0 must have odd length >= 3")
     plan = config.plan
     eps, rho, dt = config.epsilon, config.rho, plan.dt
     model = envelope_model(config.regime, eps, rho)
 
-    a = config.a0.astype(complex)
     norm_a = l2_norm(a)
     if norm_a > 0.0:
         edge = max(abs(a[0]), abs(a[-1]))

@@ -19,12 +19,12 @@ soliton           Newton-solve a stationary envelope profile
 breather-return   period-return errors of the constructed breather
 sweep             alias of ``justify --sweep``
 
-``justify``, ``sweep`` and ``justify-extended`` share their options and
-build every run through ``_justify_config``; ``justify-extended`` adds
-``--alpha``, ``--big-a`` and ``--c-const``, the other two ``--sweep``,
-``--c0-scale`` and ``--svg``.  ``--sweep`` takes distinct eps values and no
-``--rho``.  A horizon shorter than one step or longer than
-``integrators.MAX_STEPS`` steps is refused before the chain is integrated.
+``justify``, ``sweep`` and ``justify-extended`` share their options;
+``justify-extended`` adds ``--alpha``, ``--big-a`` and ``--c-const``, the
+other two ``--sweep``, ``--c0-scale`` and ``--svg``.  ``--sweep`` takes
+distinct eps values and no ``--rho``.  Parsing builds and checks every run
+such a command makes (``ExperimentConfig.runs``) before any work, and
+refuses ``--n`` above ``MAX_N`` for every command.
 
 Configuration values may come from a flat key-value file (``--config``,
 lines of ``name = value`` with ``#`` comments, names matching the long
@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import approximation, integrators, normal_form, solitons
+from . import __version__, approximation, integrators, normal_form, solitons
 from .dnls_models import (
     EnvelopeState,
     GeneralizedDnls,
@@ -63,12 +63,8 @@ from .lattice_core import LatticeState, ModelParams, energy_dkg, l2_norm, write_
 
 __all__ = ["ExperimentConfig", "parse_and_validate", "run", "main"]
 
-try:  # version for --version and output metadata
-    from importlib.metadata import version as _dist_version
-
-    _VERSION = _dist_version("dklab")
-except Exception:  # pragma: no cover - missing metadata in odd installs
-    _VERSION = "0.1.0"
+# Largest half-size N of any command: 2N+1 = 524289 sites, 4 MB per array.
+MAX_N = 2**18
 
 
 class _CliError(Exception):
@@ -87,6 +83,8 @@ class ExperimentConfig:
     outdir: Path
     seed: int
     config_hash: str
+    # the justify family's runs, built and checked at parse; not hashed
+    runs: tuple[approximation.JustificationConfig, ...] = ()
 
 
 # -- parsing -------------------------------------------------------------------
@@ -161,7 +159,7 @@ def _seed_sites(text: str) -> dict[int, float]:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dklab", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"dklab {_VERSION}")
+    parser.add_argument("--version", action="version", version=f"dklab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("simulate-dkg", help="integrate the chain")
@@ -277,7 +275,8 @@ def _non_finite(value) -> bool:
     return isinstance(value, float) and not math.isfinite(value)
 
 
-def _validate(command: str, params: dict) -> None:
+def _validate(command: str, params: dict, seed: int) -> tuple:
+    """Check ``params``; return the justify family's runs, built with ``seed``."""
     for name, value in params.items():
         if _non_finite(value):
             raise _CliError(f"--{name.replace('_', '-')} {value} must be finite")
@@ -295,8 +294,10 @@ def _validate(command: str, params: dict) -> None:
             f"--dt {params['dt']} must lie in (0, {integrators.MAX_DT}] to resolve the unit "
             "carrier frequency"
         )
-    if params.get("n") is not None and params["n"] < 1:
+    if params["n"] < 1:  # every command has --n
         raise _CliError("--n must be a positive integer")
+    if params["n"] > MAX_N:
+        raise _CliError(f"--n {params['n']} exceeds the ceiling of {MAX_N} (2N+1 sites per array)")
     if command in ("justify", "sweep", "justify-extended"):
         sweep = params.get("sweep")
         if sweep is not None:
@@ -312,10 +313,15 @@ def _validate(command: str, params: dict) -> None:
         if c_const is not None and c_const <= 0.0:
             raise _CliError(f"--c-const {c_const} must be positive")
         horizon = "T0star" if command == "justify-extended" else "T0"
+        runs = []
         for e in sweep or [params["epsilon"]]:
-            _justify_config(params, e, 0, np.zeros(3, dtype=complex), horizon).validate()
+            runs.append(_justify_config(params, e, seed, horizon))
             if params["a0"] == "soliton":  # refuses eps Omega_s > MAX_EPS_OMEGA
                 solitons.carrier_shift(e, params["omega_s"])
+        if horizon == "T0star" and c_const is None:  # C comes from the plain horizon
+            runs.append(_justify_config(params, params["epsilon"], seed))
+        return tuple(runs)
+    return ()
 
 
 # --rho-rule value -> the regime whose window top eps^(p-1) it names
@@ -354,23 +360,13 @@ def parse_and_validate(argv=None) -> ExperimentConfig:
         nu = params["nu"] if params["model"] == "standard" else 1.0
         # nu <= 0 keeps 1e-3 so that StandardDnls refuses nu, not the step
         params["dt"] = 1e-3 * min(1.0, 1.0 / nu) if nu > 0.0 else 1e-3
-    _validate(ns.command, params)
-    hashable = dict(sorted(params.items()))
-    hashable["command"] = ns.command
-    hashable["seed"] = ns.seed
+    runs = _validate(ns.command, params, ns.seed)
+    hashable = {**params, "command": ns.command, "seed": ns.seed}
     digest = hashlib.sha256(
         json.dumps(hashable, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]
-    cfg = ExperimentConfig(
-        command=ns.command,
-        params=params,
-        outdir=Path(ns.out),
-        seed=ns.seed,
-        config_hash=digest,
-    )
-    effective = dict(hashable)
-    effective["out"] = str(cfg.outdir)
-    effective["config_hash"] = digest
+    cfg = ExperimentConfig(ns.command, params, Path(ns.out), ns.seed, digest, runs)
+    effective = {**hashable, "out": str(cfg.outdir), "config_hash": digest}
     print(json.dumps(effective, sort_keys=True))
     return cfg
 
@@ -534,22 +530,20 @@ def _cmd_simulate_dnls(cfg: ExperimentConfig) -> int:
 
 
 def _justify_config(
-    params: dict, eps: float, seed: int, a0: np.ndarray, horizon: str = "T0"
+    params: dict, eps: float, seed: int, horizon: str = "T0"
 ) -> approximation.JustificationConfig:
-    """The run of one eps point of the justify family on the given horizon."""
+    """The run of one eps point of the justify family on the given horizon;
+    options a command lacks keep the config's defaults."""
     return approximation.JustificationConfig(
         epsilon=eps,
         rho=_rho_for(params, eps),
-        a0=a0,
         regime=params["regime"],
         horizon=horizon,
         tau0=params["tau0"],
-        big_a=params.get("big_a", 0.5),
-        alpha=params.get("alpha", 0.5),
         dt=params["dt"],
         sample_stride=params["stride"],
-        c0_scale=params.get("c0_scale", 0.0),
         seed=seed,
+        **{k: params[k] for k in ("big_a", "alpha", "c0_scale") if k in params},
     )
 
 
@@ -563,9 +557,7 @@ def _eps_tag(eps: float) -> str:
 
 def _run_justify_sweep(cfg: ExperimentConfig) -> int:
     p = cfg.params
-    eps_list = p.get("sweep") or [p["epsilon"]]
-    jconfigs = [_justify_config(p, e, cfg.seed, _justify_envelope(p)) for e in eps_list]
-    reports = [approximation.run_justification(jc) for jc in jconfigs]
+    reports = [approximation.run_justification(run, _justify_envelope(p)) for run in cfg.runs]
 
     # fit before any write, so a failed fit leaves the output directory empty
     payload: dict = {"points": [r.summary_dict() for r in reports]}
@@ -581,8 +573,8 @@ def _run_justify_sweep(cfg: ExperimentConfig) -> int:
             _write_svg_loglog(
                 cfg.outdir / "sweep.svg", pairs, slope, intercept, cfg.config_hash
             )
-    for eps, report in zip(eps_list, reports):
-        report.write_csv(cfg.outdir / f"report_eps{_eps_tag(eps)}.csv", cfg.config_hash)
+    for r in reports:
+        r.write_csv(cfg.outdir / f"report_eps{_eps_tag(r.config.epsilon)}.csv", cfg.config_hash)
     _write_json(cfg.outdir / "summary.json", payload, cfg.config_hash)
     write_csv(
         cfg.outdir / "sweep.csv",
@@ -595,21 +587,21 @@ def _run_justify_sweep(cfg: ExperimentConfig) -> int:
 
 def _cmd_justify_extended(cfg: ExperimentConfig) -> int:
     p = cfg.params
-    eps = p["epsilon"]
+    extended, *plain = cfg.runs
     a0 = _justify_envelope(p)
     c_const = p["c_const"]
     measured_from = "supplied"
-    if c_const is None:
-        c_const = approximation.run_justification(_justify_config(p, eps, cfg.seed, a0)).ratio
+    if plain:
+        c_const = approximation.run_justification(plain[0], a0).ratio
         measured_from = "plain-horizon run"
-    ext = approximation.run_justification(_justify_config(p, eps, cfg.seed, a0, "T0star"))
+    ext = approximation.run_justification(extended, a0)
     bound = c_const * ext.bound_scale
     holds = bool(ext.sup_error <= bound)
     ext.write_csv(cfg.outdir / "extended.csv", cfg.config_hash)
     _write_json(
         cfg.outdir / "extended.json",
         {
-            "epsilon": eps,
+            "epsilon": p["epsilon"],
             "rho": ext.config.rho,
             "alpha": p["alpha"],
             "A": p["big_a"],

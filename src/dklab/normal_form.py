@@ -52,6 +52,9 @@ __all__ = [
     "thresholds",
 ]
 
+# Slack of the decay certificate's ratio test |b_{m+1}| / |b_m| <= 2 eps (1 + tol).
+DECAY_TOLERANCE = 0.1
+
 
 def _omega_fft_order(N: int, epsilon: float) -> np.ndarray:
     n = 2 * N + 1
@@ -167,7 +170,7 @@ class DecayCertificate(NamedTuple):
     m_checked: int
 
 
-def decay_certificate(coeffs: NormalFormCoeffs, tolerance: float = 0.1) -> DecayCertificate:
+def decay_certificate(coeffs: NormalFormCoeffs) -> DecayCertificate:
     """Measure the exponential decay |b_m| <= C (2 eps)^m.
 
     C_fit is the largest |b_m| / (2 eps)^m over m where b_m is resolved
@@ -175,7 +178,7 @@ def decay_certificate(coeffs: NormalFormCoeffs, tolerance: float = 0.1) -> Decay
     geometric, so far coefficients are pure FFT noise ~1e-16 and would make
     the quotient blow up spuriously).  The certificate holds when that max
     sits at small m and every ratio |b_{m+1}| / |b_m| stays below
-    2 eps (1 + tolerance) on the ring segment where the short geodesic
+    2 eps (1 + ``DECAY_TOLERANCE``) on the ring segment where the short geodesic
     dominates (the wrap-around mirror b_m = b_{n-m} pollutes ratios near
     m ~ N, so those are excluded) and above the same noise floor.
     """
@@ -206,7 +209,7 @@ def decay_certificate(coeffs: NormalFormCoeffs, tolerance: float = 0.1) -> Decay
         m_hi = 0
     holds = max_at <= 3
     m_checked = 0
-    bound = twoe * (1.0 + tolerance)
+    bound = twoe * (1.0 + DECAY_TOLERANCE)
     for mm in range(1, min(m_hi, N - 1) + 1):
         lo, hi = abs(b[mm - 1]), abs(b[mm])
         if lo < floor or hi < floor:

@@ -67,6 +67,10 @@ _NEWTON_TOL = 1e-12
 MAX_NEWTON_N = 2048
 # Largest carrier-frequency shift eps * Omega_s of a breather-return run.
 MAX_EPS_OMEGA = 0.5
+# Newton iteration budget of solve_soliton.
+MAX_NEWTON_ITERATIONS = 50
+# First flank site m of tail_decay_ratios, clear of the soliton's core.
+TAIL_START = 3
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,6 @@ def solve_soliton(
     nu: float,
     N: int,
     seed_sites: Union[Iterable[int], Mapping[int, float]] = (0,),
-    max_iterations: int = 50,
 ) -> SolitonProfile:
     """Newton-solve the stationary system from an uncoupled-caricature seed.
 
@@ -139,7 +142,7 @@ def solve_soliton(
     An empty seed returns the trivial zero profile.  Convergence is
     quadratic near a nondegenerate solution; a numerically singular
     Jacobian raises :class:`NewtonSingularError`, and failure to reach a
-    defect of 1e-10 within the iteration budget raises
+    defect of 1e-10 within ``MAX_NEWTON_ITERATIONS`` raises
     :class:`NewtonDivergenceError` carrying the last iterate.  Omega_s <= 1
     and N above ``MAX_NEWTON_N`` raise ValueError before anything is
     allocated.
@@ -170,7 +173,7 @@ def solve_soliton(
     off[idx, (idx - 1) % n] = 1.0
 
     defect = stationary_defect(A, Omega_s, nu)
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_NEWTON_ITERATIONS + 1):
         jac = np.diag(-2.0 * Omega_s + 9.0 * nu * A**2) - off
         try:
             step = np.linalg.solve(jac, defect)
@@ -185,19 +188,19 @@ def solve_soliton(
             return SolitonProfile(A, Omega_s, nu, res, it)
     res = float(np.max(np.abs(defect)))
     if res <= _DEFECT_ACCEPT:
-        return SolitonProfile(A, Omega_s, nu, res, max_iterations)
+        return SolitonProfile(A, Omega_s, nu, res, MAX_NEWTON_ITERATIONS)
     raise NewtonDivergenceError(
-        f"no convergence in {max_iterations} iterations "
+        f"no convergence in {MAX_NEWTON_ITERATIONS} iterations "
         f"(Omega_s={Omega_s}, nu={nu}, seeds={sorted(seeds)})",
         A,
         res,
     )
 
 
-def tail_decay_ratios(profile: SolitonProfile, start: int = 3) -> np.ndarray:
-    """|A_{m+1}| / |A_m| along the decaying flank, for m = start.. while the
-    amplitudes stay well above rounding.  For single-humped profiles these
-    approach Omega_s - sqrt(Omega_s^2 - 1).
+def tail_decay_ratios(profile: SolitonProfile) -> np.ndarray:
+    """|A_{m+1}| / |A_m| along the decaying flank, for m = ``TAIL_START``..
+    while the amplitudes stay well above rounding.  For single-humped
+    profiles these approach Omega_s - sqrt(Omega_s^2 - 1).
 
     Sites near the antipode of the ring are excluded: there the two tails
     running around the ring meet and the ratio bends away from the
@@ -208,7 +211,7 @@ def tail_decay_ratios(profile: SolitonProfile, start: int = 3) -> np.ndarray:
     flank = np.abs(profile.A[center:])
     stop = N - max(3, N // 4)  # keep clear of the antipodal meeting point
     ratios = []
-    for m in range(start, stop):
+    for m in range(TAIL_START, stop):
         if flank[m] < 1e-12 or flank[m + 1] < 1e-14:
             break
         ratios.append(flank[m + 1] / flank[m])

@@ -72,7 +72,7 @@ def standard_sweep(soliton64):
     out = {}
     for eps in EPS_SWEEP:
         out[eps] = run_justification(
-            JustificationConfig(epsilon=eps, rho=eps, a0=a0, regime="standard", tau0=1.0)
+            JustificationConfig(epsilon=eps, rho=eps, regime="standard", tau0=1.0), a0
         )
     return out
 
@@ -146,9 +146,7 @@ def test_04_error_scaling_generalized(soliton64):
     pairs = []
     for eps in EPS_SWEEP:
         rep = run_justification(
-            JustificationConfig(
-                epsilon=eps, rho=eps**2, a0=a0, regime="generalized", tau0=1.0
-            )
+            JustificationConfig(epsilon=eps, rho=eps**2, regime="generalized", tau0=1.0), a0
         )
         pairs.append((eps, rep.sup_error))
     slope, r2 = fit_scaling_exponent(pairs)
@@ -167,12 +165,12 @@ def test_05_extended_horizon(standard_sweep, soliton64):
         JustificationConfig(
             epsilon=eps,
             rho=rho,
-            a0=soliton64.A.astype(complex),
             regime="standard",
             horizon="T0star",
             big_a=0.5,
             alpha=0.5,
-        )
+        ),
+        soliton64.A,
     )
     bound = c_meas * rep.bound_scale  # C * rho^(-1-alpha) eps^2
     ok = rep.sup_error <= bound
@@ -265,7 +263,7 @@ def test_07_normal_form_algebra():
             target = np.zeros(n)
             target[0], target[1], target[-1] = 1.0, -eps, -eps
             worst_recon = max(worst_recon, float(np.max(np.abs(a_row - target))))
-            certs_ok = certs_ok and decay_certificate(c, tolerance=0.1).holds
+            certs_ok = certs_ok and decay_certificate(c).holds
     for N in (8, 16):
         for eps in (0.1, 0.3, 0.45):
             c = sqrt_circulant(N, eps)

@@ -254,31 +254,37 @@ class TestFitScalingExponent:
 
 class TestJustificationHarness:
     def test_zero_envelope_zero_error(self):
-        cfg = JustificationConfig(
-            epsilon=0.1, rho=0.1, a0=np.zeros(17, dtype=complex), tau0=0.05
-        )
-        rep = run_justification(cfg)
+        cfg = JustificationConfig(epsilon=0.1, rho=0.1, tau0=0.05)
+        rep = run_justification(cfg, np.zeros(17, dtype=complex))
         assert rep.sup_error == 0.0
         assert np.all(rep.Q == 0.0)
 
     def test_regime_rejections(self):
-        a0 = np.zeros(17, dtype=complex)
         with pytest.raises(RegimeError):
-            run_justification(
-                JustificationConfig(epsilon=0.1, rho=0.1**3, a0=a0, regime="standard")
-            )
+            JustificationConfig(epsilon=0.1, rho=0.1**3, regime="standard")
         with pytest.raises(RegimeError):
-            run_justification(
-                JustificationConfig(epsilon=0.1, rho=0.2, a0=a0, regime="standard")
-            )
+            JustificationConfig(epsilon=0.1, rho=0.2, regime="standard")
         with pytest.raises(RegimeError):
-            run_justification(
-                JustificationConfig(epsilon=0.1, rho=0.1, a0=a0, regime="generalized")
-            )
+            JustificationConfig(epsilon=0.1, rho=0.1, regime="generalized")
         with pytest.raises(RegimeError):
-            JustificationConfig(
-                epsilon=0.1, rho=0.1, a0=a0, horizon="T0star", alpha=1.5
-            ).validate()
+            JustificationConfig(epsilon=0.1, rho=0.1, horizon="T0star", alpha=1.5)
+
+    def test_config_is_a_checked_value(self):
+        # equal fields compare and hash equal, and an invalid config cannot
+        # be built at all
+        fields = dict(epsilon=0.1, rho=0.1, tau0=0.05, c0_scale=0.5, seed=3)
+        first, second = JustificationConfig(**fields), JustificationConfig(**fields)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second, JustificationConfig(**{**fields, "seed": 4})}) == 2
+        with pytest.raises(RegimeError, match="c0_scale=-1.0 must be non-negative"):
+            JustificationConfig(**{**fields, "c0_scale": -1.0})
+
+    @pytest.mark.parametrize("length", [0, 1, 16])
+    def test_envelope_length_rejected(self, length):
+        cfg = JustificationConfig(epsilon=0.1, rho=0.1, tau0=0.05)
+        with pytest.raises(RegimeError, match="odd length >= 3"):
+            run_justification(cfg, np.zeros(length, dtype=complex))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -291,11 +297,8 @@ class TestJustificationHarness:
         ],
     )
     def test_step_and_stride_rejections(self, field, value):
-        cfg = JustificationConfig(
-            epsilon=0.1, rho=0.1, a0=np.zeros(17, dtype=complex), **{field: value}
-        )
         with pytest.raises(RegimeError):
-            cfg.validate()
+            JustificationConfig(epsilon=0.1, rho=0.1, **{field: value})
 
     @pytest.mark.parametrize("amplitude", [1e3, 50.0])
     def test_overflowing_envelope_raises_blowup(self, amplitude):
@@ -304,10 +307,10 @@ class TestJustificationHarness:
         # unstable, so only the envelope check can catch it
         a0 = np.zeros(129, dtype=complex)
         a0[64] = amplitude
-        cfg = JustificationConfig(epsilon=0.05, rho=0.05, a0=a0)
+        cfg = JustificationConfig(epsilon=0.05, rho=0.05)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BlowUpError) as info:
-                run_justification(cfg)
+                run_justification(cfg, a0)
         assert info.value.last_good_time == 0.0
 
     def test_report_consistency(self, small_justify_report):
@@ -323,15 +326,8 @@ class TestJustificationHarness:
 
     def test_c0_knob_sets_initial_error_scale(self):
         prof = solve_soliton(1.5, 1.0, 32)
-        cfg = JustificationConfig(
-            epsilon=0.1,
-            rho=0.1,
-            a0=prof.A.astype(complex),
-            tau0=0.02,
-            c0_scale=0.5,
-            seed=7,
-        )
-        rep = run_justification(cfg)
+        cfg = JustificationConfig(epsilon=0.1, rho=0.1, tau0=0.02, c0_scale=0.5, seed=7)
+        rep = run_justification(cfg, prof.A)
         scale = cfg.bound_scale
         assert rep.error_norm[0] == pytest.approx(0.5 * scale, rel=1e-6)
 
@@ -339,9 +335,7 @@ class TestJustificationHarness:
         prof = solve_soliton(1.5, 1.0, 32)
         a0 = prof.A.astype(complex)
         sups = [
-            run_justification(
-                JustificationConfig(epsilon=0.1, rho=0.1, a0=a0, tau0=tau0)
-            ).sup_error
+            run_justification(JustificationConfig(epsilon=0.1, rho=0.1, tau0=tau0), a0).sup_error
             for tau0 in (0.25, 0.5, 1.0)
         ]
         assert sups[0] <= sups[1] <= sups[2]
@@ -349,14 +343,9 @@ class TestJustificationHarness:
     def test_extended_horizon_smoke(self):
         prof = solve_soliton(1.5, 1.0, 32)
         cfg = JustificationConfig(
-            epsilon=0.1,
-            rho=0.1,
-            a0=prof.A.astype(complex),
-            horizon="T0star",
-            big_a=0.05,
-            alpha=0.5,
+            epsilon=0.1, rho=0.1, horizon="T0star", big_a=0.05, alpha=0.5
         )
-        rep = run_justification(cfg)
+        rep = run_justification(cfg, prof.A)
         assert rep.config.horizon == "T0star"
         assert rep.bound_scale == pytest.approx(0.1**2 * 0.1 ** (-1.5))
         assert rep.times[-1] == pytest.approx(0.05 * abs(np.log(0.1)) / 0.1, rel=1e-2)
@@ -371,17 +360,13 @@ class TestJustificationHarness:
 
     def test_boundary_decay_warning_for_small_chain(self):
         prof = solve_soliton(1.5, 1.0, 12)
-        cfg = JustificationConfig(
-            epsilon=0.1, rho=0.1, a0=prof.A.astype(complex), tau0=0.02
-        )
+        cfg = JustificationConfig(epsilon=0.1, rho=0.1, tau0=0.02)
         with pytest.warns(UserWarning, match="boundary"):
-            run_justification(cfg)
+            run_justification(cfg, prof.A)
 
 
 @pytest.fixture(scope="module")
 def small_justify_report():
     prof = solve_soliton(1.5, 1.0, 32)
-    cfg = JustificationConfig(
-        epsilon=0.1, rho=0.1, a0=prof.A.astype(complex), tau0=0.2, sample_stride=50
-    )
-    return run_justification(cfg)
+    cfg = JustificationConfig(epsilon=0.1, rho=0.1, tau0=0.2, sample_stride=50)
+    return run_justification(cfg, prof.A)

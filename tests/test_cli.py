@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import dklab
+from dklab import cli
 from dklab.cli import main, parse_and_validate
 from dklab.integrators import MAX_STEPS
+from dklab.lattice_core import read_csv
 from dklab.solitons import MAX_NEWTON_N
 
 
@@ -160,7 +162,27 @@ class TestParsing:
     def test_version(self, capsys):
         code, out, _ = run_cli(["--version"], capsys)
         assert code == 0
-        assert out.startswith("dklab ")
+        assert out == f"dklab {dklab.__version__}\n"
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == dklab.__version__
+
+    @pytest.mark.parametrize("command", [
+        "simulate-dkg", "simulate-dnls", "justify", "sweep", "justify-extended",
+        "normalform", "thresholds", "soliton", "breather-return",
+    ])
+    def test_n_ceiling(self, command, capsys, monkeypatch):
+        # simulate-dkg --n 100000000 asked for about 1.6 GB per array; the
+        # refusal must come at parse, before run could allocate anything
+        def no_run(config):
+            raise AssertionError(f"run reached with --n {config.params['n']}")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        code, _, err = run_cli([command, "--n", str(cli.MAX_N + 1)], capsys)
+        assert code == 1
+        assert f"--n {cli.MAX_N + 1} exceeds the ceiling of {cli.MAX_N}" in err
+        assert parse_and_validate([command, "--n", str(cli.MAX_N)]).params["n"] == cli.MAX_N
 
     def test_config_file_merge_and_override(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
@@ -194,6 +216,25 @@ class TestParsing:
         code, _, err = run_cli(["justify", "--config", str(cfg_file)], capsys)
         assert code == 1
         assert "frobnicate" in err
+
+    @pytest.mark.parametrize("value,expected", [("yes", True), ("off", False)])
+    def test_config_file_boolean(self, value, expected, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(f"save-states = {value}\n")
+        cfg = parse_and_validate(["simulate-dkg", "--config", str(cfg_file)])
+        assert cfg.params["save_states"] is expected
+
+    def test_config_file_bad_boolean(self, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("svg = maybe\n")
+        code, _, err = run_cli(
+            ["justify", "--config", str(cfg_file), "--out", str(tmp_path / "out")], capsys
+        )
+        assert_one_error_line(code, err, "config key 'svg' expects a boolean, got 'maybe'")
+        assert not (tmp_path / "out").exists()
+
+    def test_bare_seed_site_takes_plus_sign(self, capsys):
+        assert parse_and_validate(["soliton", "--seed-sites", "3"]).params["seed_sites"] == {3: 1.0}
 
 
 class TestNormalformCommand:
@@ -284,6 +325,23 @@ class TestSimulateCommands:
         assert len(states) == 1 + summary["samples"]
         del final["config_hash"]
         assert json.loads(states[-1]) == final
+
+    def test_simulate_dkg_breather_amplitude(self, tmp_path, capsys):
+        # --amplitude scales the breather's initial state (its y is zero for
+        # a real profile, so x carries the check)
+        norms = {}
+        for amplitude in ("1.0", "0.5"):
+            out = tmp_path / amplitude
+            code, _, _ = run_cli(
+                ["simulate-dkg", "--init", "breather", "--amplitude", amplitude, "--n", "8",
+                 "--t-end", "0.1", "--out", str(out)],
+                capsys,
+            )
+            assert code == 0
+            first = read_csv(out / "trajectory.csv")[1][0]  # t, energy, norm_x, norm_y at t = 0
+            norms[amplitude] = float(first[2])
+        assert norms["1.0"] > 0.0
+        assert norms["0.5"] == pytest.approx(0.5 * norms["1.0"], rel=1e-14)
 
     def test_simulate_dnls_generalized(self, tmp_path, capsys):
         code, _, _ = run_cli(
@@ -562,7 +620,7 @@ class TestExitContract:
         # surfaced as a traceback once all the work was done
         calls = []
         monkeypatch.setattr(
-            "dklab.approximation.run_justification", lambda config: calls.append(config)
+            "dklab.approximation.run_justification", lambda config, a0: calls.append(config)
         )
         (tmp_path / "file").write_text("")
         code, _, err = run_cli(
@@ -593,13 +651,21 @@ class TestExitContract:
          "violates the standard regime eps^2 << rho <= eps"),
         (["justify", "--omega-s", "100", "--n", "32", "--tau0", "0.2", "--dt", "5e-3"],
          "eps*Omega_s=5 (eps=0.05, Omega_s=100.0) exceeds the small-amplitude limit 0.5"),
+        (["justify", "--rho", "0"], "--rho 0.0 must lie in (0, 1]"),
+        (["simulate-dkg", "--rho", "1.5"], "--rho 1.5 must lie in (0, 1]"),
+        (["justify", "--dt", "0"], "--dt 0.0 must lie in (0, 0.1]"),
+        (["simulate-dkg", "--dt", "0.2"], "--dt 0.2 must lie in (0, 0.1]"),
+        (["soliton", "--n", "0"], "--n must be a positive integer"),
+        (["soliton", "--seed-sites", ","], "no seed sites in ','"),
     ], ids=["c0-scale", "c-const-zero", "c-const-negative", "svg-two-points", "seed",
-            "rho-rule-eps2-edge", "omega-s-soliton"])
+            "rho-rule-eps2-edge", "omega-s-soliton", "rho-zero", "rho-above-one", "dt-zero",
+            "dt-above-max", "n-zero", "seed-sites-empty"])
     def test_ignored_or_misreported_inputs_refused(self, argv, fragment, tmp_path, capsys):
-        # these used to exit 0 (c0-scale, svg, rho-rule-eps2-edge at rho =
-        # eps * eps just above eps**2, omega-s-soliton with error ratio
-        # 5384), exit 2 on a bound no run can meet (c-const) or name no
-        # option (seed)
+        # the first seven used to exit 0 (c0-scale, svg, rho-rule-eps2-edge
+        # at rho = eps * eps just above eps**2, omega-s-soliton with error
+        # ratio 5384), exit 2 on a bound no run can meet (c-const) or name
+        # no option (seed); the rest pin the range checks of --rho, --dt and
+        # --n and an empty --seed-sites list
         code, _, err = run_cli([*argv, "--out", str(tmp_path / "out")], capsys)
         assert_one_error_line(code, err, fragment)
         assert not (tmp_path / "out").exists()

@@ -20,7 +20,7 @@ from dklab.solitons import BreatherReturnReport, SolitonProfile
 
 
 def _report():
-    config = approximation.JustificationConfig(epsilon=0.1, rho=0.1, a0=np.zeros(3))
+    config = approximation.JustificationConfig(epsilon=0.1, rho=0.1)
     times = 0.5 * np.arange(3)
     errors = np.array([0.0, 2.5e-3, 1e-300])
     return JustificationReport(config, times, errors, np.sqrt(np.arange(3.0)))
@@ -63,7 +63,7 @@ def write_envelope(path, monkeypatch, capsys):
 
 
 def write_sweep(path, monkeypatch, capsys):
-    monkeypatch.setattr(approximation, "run_justification", lambda cfg: _report())
+    monkeypatch.setattr(approximation, "run_justification", lambda cfg, a0: _report())
     _run_command(["justify", "--epsilon", "0.1", "--a0", "onehot", "--n", "2"], path, capsys)
     return path / "sweep.csv"
 

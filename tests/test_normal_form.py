@@ -138,7 +138,7 @@ class TestDecayCertificate:
 
     @pytest.mark.parametrize("eps", (0.1, 0.2, 0.3, 0.45))
     def test_holds_at_default_tolerance(self, eps):
-        cert = decay_certificate(sqrt_circulant(32, eps), tolerance=0.1)
+        cert = decay_certificate(sqrt_circulant(32, eps))
         assert cert.holds
         assert cert.max_at <= 3
         assert cert.C_fit > 0.0

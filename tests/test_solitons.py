@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dklab import solitons
 from dklab.dnls_models import EnvelopeState, StandardDnls, rhs
 from dklab.errors import NewtonDivergenceError, RegimeError
 from dklab.integrators import IntegratorConfig, integrate
@@ -124,11 +125,12 @@ class TestSolveSoliton:
         with pytest.raises(ValueError, match="band"):
             SolitonProfile(np.zeros(5), -1.5, 1.0, 0.0, 0)
 
-    def test_divergence_carries_last_iterate(self):
+    def test_divergence_carries_last_iterate(self, monkeypatch):
         # a hopeless seed far outside any basin: huge frequency with a tiny
         # iteration budget
-        with pytest.raises(NewtonDivergenceError) as ei:
-            solve_soliton(1.5, 1.0, 16, seed_sites={0: 1, 2: -1, 5: 1}, max_iterations=1)
+        monkeypatch.setattr(solitons, "MAX_NEWTON_ITERATIONS", 1)
+        with pytest.raises(NewtonDivergenceError, match="no convergence in 1 iterations") as ei:
+            solve_soliton(1.5, 1.0, 16, seed_sites={0: 1, 2: -1, 5: 1})
         assert ei.value.last_iterate.shape == (33,)
 
     def test_serialization(self, tmp_path):
