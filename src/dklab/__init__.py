@@ -9,75 +9,9 @@ and the envelope equations that approximate its small-amplitude dynamics,
 and measures the quality of that approximation: residual sizes, error
 scaling exponents across coupling sweeps, validity horizons, the spectral
 normal form of the coupling matrix, and soliton-built approximate breathers.
-"""
 
-from .errors import (
-    BlowUpError,
-    NewtonDivergenceError,
-    NewtonSingularError,
-    RegimeError,
-    ThresholdError,
-)
-from .lattice_core import (
-    LatticeState,
-    ModelParams,
-    RescaledCoupling,
-    energy_dkg,
-    l2_norm,
-    rescale_to_standard,
-)
-from .dnls_models import (
-    DnlsModel,
-    EnvelopeState,
-    GeneralizedDnls,
-    NormalFormDnls,
-    StandardDnls,
-    l2_conserved,
-    rhs,
-    rhs_generalized,
-    rhs_normalform,
-    rhs_standard,
-    second_derivative,
-)
-from .integrators import (
-    IntegratorConfig,
-    Trajectory,
-    integrate,
-    step_dkg_verlet,
-    step_envelope_rk4,
-)
-from .approximation import (
-    AnsatzSample,
-    JustificationConfig,
-    JustificationReport,
-    error_energy,
-    error_energy_rate,
-    fit_scaling_exponent,
-    leading_order,
-    residual_direct,
-    residual_expanded,
-    run_justification,
-)
-from .normal_form import (
-    DecayCertificate,
-    NormalFormCoeffs,
-    ThresholdConstants,
-    decay_certificate,
-    h_omega,
-    keff_energy,
-    linear_transform,
-    mode_frequencies,
-    sqrt_circulant,
-    sqrt_circulant_series,
-    thresholds,
-)
-from .solitons import (
-    BreatherReturnReport,
-    SolitonProfile,
-    breather_return_error,
-    build_breather_initial,
-    solve_soliton,
-    stationary_defect,
-)
+Import each name from the module that defines it (its ``__all__`` lists
+them), for example ``from dklab.solitons import solve_soliton``.
+"""
 
 __version__ = "0.1.0"

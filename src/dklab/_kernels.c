@@ -14,9 +14,10 @@
  *
  * Every entry point returns True when it did the work and False, with
  * nothing written, when its arrays are not 1-D C-contiguous native float64
- * ("d") or complex128 ("Zd") buffers of one length, an output is read-only
- * or overlaps another argument, or (flow) the ring has fewer than 3 sites;
- * the caller then runs its numpy form.
+ * ("d") or complex128 ("Zd") buffers of one length of at least 3 sites, or
+ * an output is read-only or overlaps another argument; the caller then runs
+ * its numpy form.  Every ring dklab builds has 3 or more sites, so the
+ * loops need no case for rings whose neighbours coincide.
  *
  * advance_verlet makes one pass over the ring per step, strip by strip, so
  * each strip's half-kick, drift, force and second half-kick run while it is
@@ -111,10 +112,11 @@ overlap(const Py_buffer *u, const Py_buffer *v)
     return a < b + (uintptr_t)v->len && b < a + (uintptr_t)u->len;
 }
 
-/* Take args[0..count-1] as vectors of one length.  formats[i] names the
- * struct format of argument i; a leading 'w' marks an output, which must be
- * writeable and overlap no other argument.  Returns 1 with every view held,
- * 0 (nothing held, no exception) when the arrays do not suit, -1 on error. */
+/* Take args[0..count-1] as vectors of one length, at least 3.  formats[i]
+ * names the struct format of argument i; a leading 'w' marks an output,
+ * which must be writeable and overlap no other argument.  Returns 1 with
+ * every view held, 0 (nothing held, no exception) when the arrays do not
+ * suit, -1 on error. */
 static int
 vectors(PyObject *const *args, int count, const char *const *formats,
         Py_buffer *views)
@@ -123,7 +125,8 @@ vectors(PyObject *const *args, int count, const char *const *formats,
         int writable = formats[i][0] == 'w';
         int got = vector(args[i], formats[i] + writable, writable, &views[i]);
 
-        if (got == 1 && views[i].shape[0] != views[0].shape[0]) {
+        if (got == 1 && (views[i].shape[0] != views[0].shape[0]
+                         || views[i].shape[0] < 3)) {
             PyBuffer_Release(&views[i]);
             got = 0;
         }
@@ -229,25 +232,14 @@ force_kick(const double *restrict x, double *restrict y, double *restrict f,
  * site 0 takes its force; then each strip of interior sites drifts the
  * sites one ahead of it and takes its forces while they are still in L1;
  * site n-1 comes last.  Every site sees the operations of the two-pass
- * loop on the same operands, so the result is the same to the bit.  Rings
- * of 1 or 2 sites, whose neighbours coincide, take two plain passes. */
+ * loop on the same operands, so the result is the same to the bit. */
 static VECTOR_CLONES void
 verlet(double *x, double *y, double *f, Py_ssize_t n, double eps, double rho,
        double dt, long long n_steps)
 {
     const double half = 0.5 * dt;
 
-    if (n < 1)
-        return;
     for (long long step = 0; step < n_steps; step++) {
-        if (n < 3) {
-            kick_drift(x, y, f, 0, n, half, dt);
-            for (Py_ssize_t i = 0; i < n; i++) {
-                f[i] = force(x[n - 1 - i], x[i], x[n - 1 - i], eps, rho);
-                y[i] += half * f[i];
-            }
-            continue;
-        }
         kick_drift(x, y, f, 0, 2, half, dt);
         kick_drift(x, y, f, n - 1, n, half, dt);
         f[0] = force(x[n - 1], x[0], x[1], eps, rho);
@@ -309,10 +301,6 @@ flow(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     const Py_ssize_t n = v[0].shape[0];
     const double c0 = c[0], c1 = c[1], c2 = c[2], g = c[3];
 
-    if (n < 3) {
-        release(v, 3);
-        Py_RETURN_FALSE;
-    }
     for (Py_ssize_t j = 0; j < n; j++) {
         /* neighbor_sum(a, k) is a[j+k] + a[j-k] on the ring */
         Py_ssize_t up = j + 1 < n ? j + 1 : j + 1 - n;

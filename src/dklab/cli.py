@@ -23,8 +23,9 @@ sweep             alias of ``justify --sweep``
 ``justify-extended`` adds ``--alpha``, ``--big-a`` and ``--c-const``, the
 other two ``--sweep``, ``--c0-scale`` and ``--svg``.  ``--sweep`` takes
 distinct eps values and no ``--rho``.  Parsing builds and checks every run
-such a command makes (``ExperimentConfig.runs``) before any work, and
-refuses ``--n`` above ``MAX_N`` for every command.
+such a command makes (``ExperimentConfig.runs``) before any work; for every
+command it refuses ``--n`` above ``MAX_N`` and a soliton profile that
+``solitons.check_profile`` refuses.
 
 Configuration values may come from a flat key-value file (``--config``,
 lines of ``name = value`` with ``#`` comments, names matching the long
@@ -276,7 +277,8 @@ def _non_finite(value) -> bool:
 
 
 def _validate(command: str, params: dict, seed: int) -> tuple:
-    """Check ``params``; return the justify family's runs, built with ``seed``."""
+    """Check ``params``, and the soliton profile the command will solve; return
+    the justify family's runs, built with ``seed``."""
     for name, value in params.items():
         if _non_finite(value):
             raise _CliError(f"--{name.replace('_', '-')} {value} must be finite")
@@ -298,6 +300,7 @@ def _validate(command: str, params: dict, seed: int) -> tuple:
         raise _CliError("--n must be a positive integer")
     if params["n"] > MAX_N:
         raise _CliError(f"--n {params['n']} exceeds the ceiling of {MAX_N} (2N+1 sites per array)")
+    runs = []
     if command in ("justify", "sweep", "justify-extended"):
         sweep = params.get("sweep")
         if sweep is not None:
@@ -313,15 +316,21 @@ def _validate(command: str, params: dict, seed: int) -> tuple:
         if c_const is not None and c_const <= 0.0:
             raise _CliError(f"--c-const {c_const} must be positive")
         horizon = "T0star" if command == "justify-extended" else "T0"
-        runs = []
         for e in sweep or [params["epsilon"]]:
             runs.append(_justify_config(params, e, seed, horizon))
             if params["a0"] == "soliton":  # refuses eps Omega_s > MAX_EPS_OMEGA
                 solitons.carrier_shift(e, params["omega_s"])
         if horizon == "T0star" and c_const is None:  # C comes from the plain horizon
             runs.append(_justify_config(params, params["epsilon"], seed))
-        return tuple(runs)
-    return ()
+    if command in ("soliton", "breather-return"):
+        solitons.check_profile(params["omega_s"], params["nu"], params["n"])
+    elif command == "simulate-dkg" and params["init"] == "breather":
+        solitons.check_profile(params["omega_s"], params["rho"] / params["epsilon"], params["n"])
+    elif params.get("init", params.get("a0")) == "soliton":  # simulate-dnls, justify family
+        solitons.check_profile(params["omega_s"], 1.0, params["n"])
+    if command == "breather-return":
+        solitons.carrier_shift(params["epsilon"], params["omega_s"])
+    return tuple(runs)
 
 
 # --rho-rule value -> the regime whose window top eps^(p-1) it names

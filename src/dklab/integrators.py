@@ -38,9 +38,9 @@ numpy's operations in the same order, so their results are bit-identical to
 ``_advance_verlet_numpy`` and ``_rk4_step_numpy``, which stay as the
 references. When there is no compiler, no Python headers, no writable cache,
 the extension does not import, or the arrays are not equal-length,
-contiguous, native float64 (chain) or complex128 (envelope) vectors, the
-numpy forms run instead, silently. :func:`verlet_backend` reports which of
-the two the process uses.
+contiguous, native float64 (chain) or complex128 (envelope) vectors of 3 or
+more sites, the numpy forms run instead, silently. :func:`verlet_backend`
+reports which of the two the process uses.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ def _advance_verlet(
     ``f`` must hold the force at the incoming x and holds the force at the
     outgoing x on return.  Runs the compiled ``advance_verlet`` when it is
     available and the arrays are equal-length, contiguous, writeable native
-    float64 vectors, else ``_advance_verlet_numpy``; both give bit-identical
-    x, y and f.
+    float64 vectors of 3 or more sites, else ``_advance_verlet_numpy``; both
+    give bit-identical x, y and f.
     """
     kernels = _native.kernels()
     if kernels is None or not kernels.advance_verlet(x, y, f, epsilon, rho, dt, n_steps):
@@ -218,8 +218,8 @@ def _rk4_step(a: np.ndarray, fun, h: float) -> np.ndarray:
     """One classical RK4 step of a' = fun(a); ``fun`` is called four times.
 
     The stage arithmetic runs in the compiled ``stage``/``combine`` on
-    contiguous complex128 vectors, else in numpy as in ``_rk4_step_numpy``;
-    both give bit-identical results.
+    contiguous complex128 vectors of 3 or more sites, else in numpy as in
+    ``_rk4_step_numpy``; both give bit-identical results.
     """
     kernels = _native.kernels()
     if kernels is None:
@@ -316,7 +316,9 @@ def integrate(
     state is always recorded; so is the final one, which the trajectory keeps
     as ``final``.  Observers must be reentrant per run: at every recorded
     sample they receive the current time and a freshly constructed immutable
-    state, so an observer can also stream the states to disk.
+    state, so an observer can also stream the states to disk.  Each observer
+    returns the same names at every sample (``{}`` when it only streams);
+    ``diagnostics`` holds one array per name of the first sample.
     """
     dt = config.dt
     if isinstance(state0, LatticeState):
@@ -362,10 +364,5 @@ def integrate(
         state = make(*arrays, t)
         record(t, state)
 
-    names: set[str] = set()
-    for row in diag_rows:
-        names.update(row)
-    diagnostics = {
-        name: np.array([row.get(name, np.nan) for row in diag_rows]) for name in names
-    }
+    diagnostics = {name: np.array([row[name] for row in diag_rows]) for name in diag_rows[0]}
     return Trajectory(np.array(times), state, diagnostics, clock)

@@ -53,6 +53,7 @@ __all__ = [
     "BreatherReturnReport",
     "stationary_defect",
     "solve_soliton",
+    "check_profile",
     "tail_decay_ratios",
     "build_breather_initial",
     "breather_return_error",
@@ -86,7 +87,7 @@ class SolitonProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "A", _frozen_vector(self.A, "A", float))
-        _check_above_band(self.Omega_s)
+        check_profile(self.Omega_s, self.nu, self.n_half)
         if self.newton_residual > _DEFECT_ACCEPT:
             raise ValueError(
                 f"profile defect {self.newton_residual:.2e} exceeds {_DEFECT_ACCEPT}"
@@ -105,14 +106,6 @@ class SolitonProfile:
         write_csv(path, ("j", "A"), zip(sites, self.A.tolist()), comments)
 
 
-def _check_above_band(Omega_s: float) -> None:
-    if Omega_s <= 1.0:
-        raise ValueError(
-            f"Omega_s={Omega_s} is not above the linear band [-1, 1]: localized "
-            "profiles need Omega_s > 1, and below -1 only the zero profile exists"
-        )
-
-
 def stationary_defect(A: np.ndarray, Omega_s: float, nu: float) -> np.ndarray:
     """D_j = -2 Omega_s A_j + 3 nu A_j^3 - A_{j+1} - A_{j-1}."""
     A = np.asarray(A, dtype=float)
@@ -126,6 +119,26 @@ def _normalize_seed(seed_sites: Union[Iterable[int], Mapping[int, float]]) -> di
             raise ValueError("seed signs must be nonzero")
         return out
     return {int(j): 1.0 for j in seed_sites}
+
+
+def check_profile(Omega_s: float, nu: float, N: int) -> None:
+    """Refuse, with ValueError, a stationary profile on 2N+1 sites that
+    :func:`solve_soliton` would not solve: Omega_s <= 1, nu <= 0 or N above
+    ``MAX_NEWTON_N``.  It allocates nothing, so a caller can check a profile
+    before any work."""
+    if Omega_s <= 1.0:
+        raise ValueError(
+            f"Omega_s={Omega_s} is not above the linear band [-1, 1]: localized "
+            "profiles need Omega_s > 1, and below -1 only the zero profile exists"
+        )
+    if nu <= 0.0:
+        raise ValueError(f"nu={nu} must be positive")
+    if N > MAX_NEWTON_N:
+        n = 2 * N + 1
+        raise ValueError(
+            f"N={N} needs a dense {n}x{n} Newton Jacobian ({8e-9 * n * n:.3g} GB), "
+            f"above the ceiling of N={MAX_NEWTON_N}"
+        )
 
 
 def solve_soliton(
@@ -143,19 +156,12 @@ def solve_soliton(
     quadratic near a nondegenerate solution; a numerically singular
     Jacobian raises :class:`NewtonSingularError`, and failure to reach a
     defect of 1e-10 within ``MAX_NEWTON_ITERATIONS`` raises
-    :class:`NewtonDivergenceError` carrying the last iterate.  Omega_s <= 1
-    and N above ``MAX_NEWTON_N`` raise ValueError before anything is
+    :class:`NewtonDivergenceError` carrying the last iterate.  A profile that
+    :func:`check_profile` refuses raises ValueError before anything is
     allocated.
     """
-    _check_above_band(Omega_s)
-    if nu <= 0.0:
-        raise ValueError(f"nu={nu} must be positive")
+    check_profile(Omega_s, nu, N)
     n = 2 * N + 1
-    if N > MAX_NEWTON_N:
-        raise ValueError(
-            f"N={N} needs a dense {n}x{n} Newton Jacobian ({8e-9 * n * n:.3g} GB), "
-            f"above the ceiling of N={MAX_NEWTON_N}"
-        )
     seeds = _normalize_seed(seed_sites)
     A = np.zeros(n)
     amp = math.sqrt(2.0 * Omega_s / (3.0 * nu))

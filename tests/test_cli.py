@@ -1,7 +1,9 @@
 """Command-line interface: parsing, validation, outputs, determinism."""
 
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -168,6 +170,26 @@ class TestParsing:
         with open(pyproject, "rb") as fh:
             assert tomllib.load(fh)["project"]["version"] == dklab.__version__
 
+    def test_package_root_holds_only_the_version(self):
+        # a bare import loads no submodule and no numpy; every public name
+        # is imported from the module whose __all__ lists it
+        script = (
+            "import sys, dklab\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('dklab', 'numpy')))\n"
+            "print(dklab.__version__)\n"
+        )
+        src = str(Path(dklab.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["['dklab']", dklab.__version__]
+        for info in pkgutil.iter_modules(dklab.__path__):
+            module = importlib.import_module(f"dklab.{info.name}")
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"dklab.{info.name}.{name}"
+
     @pytest.mark.parametrize("command", [
         "simulate-dkg", "simulate-dnls", "justify", "sweep", "justify-extended",
         "normalform", "thresholds", "soliton", "breather-return",
@@ -182,7 +204,18 @@ class TestParsing:
         code, _, err = run_cli([command, "--n", str(cli.MAX_N + 1)], capsys)
         assert code == 1
         assert f"--n {cli.MAX_N + 1} exceeds the ceiling of {cli.MAX_N}" in err
-        assert parse_and_validate([command, "--n", str(cli.MAX_N)]).params["n"] == cli.MAX_N
+        # --n MAX_N passes the ceiling; a soliton profile that large is then
+        # refused by the Newton ceiling, so the other commands take a one-hot
+        # initial state
+        argv = [command, "--n", str(cli.MAX_N)]
+        if command in ("soliton", "breather-return"):
+            with pytest.raises(ValueError, match=f"N={cli.MAX_N} needs a dense"):
+                parse_and_validate(argv)
+            return
+        onehot = {"simulate-dkg": ["--init", "onehot"], "simulate-dnls": ["--init", "onehot"],
+                  "justify": ["--a0", "onehot"], "sweep": ["--a0", "onehot"],
+                  "justify-extended": ["--a0", "onehot"]}
+        assert parse_and_validate(argv + onehot.get(command, [])).params["n"] == cli.MAX_N
 
     def test_config_file_merge_and_override(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
@@ -657,17 +690,42 @@ class TestExitContract:
         (["simulate-dkg", "--dt", "0.2"], "--dt 0.2 must lie in (0, 0.1]"),
         (["soliton", "--n", "0"], "--n must be a positive integer"),
         (["soliton", "--seed-sites", ","], "no seed sites in ','"),
+        (["soliton", "--nu", "0"], "nu=0.0 must be positive"),
+        (["breather-return", "--omega-s", "300", "--epsilon", "0.01", "--n", "8"],
+         "eps*Omega_s=3 (eps=0.01, Omega_s=300.0) exceeds the small-amplitude limit 0.5"),
     ], ids=["c0-scale", "c-const-zero", "c-const-negative", "svg-two-points", "seed",
             "rho-rule-eps2-edge", "omega-s-soliton", "rho-zero", "rho-above-one", "dt-zero",
-            "dt-above-max", "n-zero", "seed-sites-empty"])
+            "dt-above-max", "n-zero", "seed-sites-empty", "nu-zero", "omega-s-breather"])
     def test_ignored_or_misreported_inputs_refused(self, argv, fragment, tmp_path, capsys):
         # the first seven used to exit 0 (c0-scale, svg, rho-rule-eps2-edge
         # at rho = eps * eps just above eps**2, omega-s-soliton with error
         # ratio 5384), exit 2 on a bound no run can meet (c-const) or name
         # no option (seed); the rest pin the range checks of --rho, --dt and
-        # --n and an empty --seed-sites list
+        # --n, an empty --seed-sites list, and the profile checks that now
+        # come at parse (nu-zero and omega-s-breather used to leave out/)
         code, _, err = run_cli([*argv, "--out", str(tmp_path / "out")], capsys)
         assert_one_error_line(code, err, fragment)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("refusal,message", [
+        (["--omega-s", "0.5"], "Omega_s=0.5 is not above the linear band [-1, 1]"),
+        (["--n", "2049"], "N=2049 needs a dense 4099x4099 Newton Jacobian"),
+    ], ids=["below-band", "newton-ceiling"])
+    @pytest.mark.parametrize("command", [
+        ["soliton"],
+        ["breather-return"],
+        ["simulate-dkg", "--init", "breather"],
+        ["simulate-dnls", "--init", "soliton"],
+        ["justify", "--a0", "soliton"],
+        ["sweep", "--a0", "soliton"],
+        ["justify-extended", "--a0", "soliton"],
+    ], ids=lambda argv: argv[0])
+    def test_profile_refused_at_parse(self, command, refusal, message, tmp_path, capsys):
+        # these used to print the effective configuration and create out/
+        # before solve_soliton refused the profile
+        code, out, err = run_cli([*command, *refusal, "--out", str(tmp_path / "out")], capsys)
+        assert_one_error_line(code, err, message)
+        assert out == ""
         assert not (tmp_path / "out").exists()
 
     def test_failed_sweep_fit_leaves_out_empty(self, tmp_path, capsys):

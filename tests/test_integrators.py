@@ -205,8 +205,8 @@ class TestVerletKernel:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_short_rings_defer_to_numpy(self, n):
-        # below 3 sites the stencil's periodic neighbours repeat; the kernel
-        # leaves such rings to numpy, which raises where it always raised
+        # below 3 sites the stencil's periodic neighbours repeat; the kernels
+        # leave such rings to numpy, which raises where it always raised
         a = np.arange(1, n + 1) * (0.3 + 0.2j)
         model = StandardDnls(0.5)
         c = model.coefficients
@@ -215,6 +215,15 @@ class TestVerletKernel:
         if n == 1:
             with pytest.raises(ValueError):
                 dnls_models.rhs(GeneralizedDnls(0.5, 0.1), a)
+
+        x = np.array([0.7, -0.0][:n])
+        y = np.array([-0.2, 0.4][:n])
+        runs = [[x.copy(), y.copy(), integrators._dkg_force(x, 0.1, 0.3)] for _ in range(2)]
+        integrators._advance_verlet(*runs[0], 0.1, 0.3, 0.05, 40)
+        integrators._advance_verlet_numpy(*runs[1], 0.1, 0.3, 0.05, 40)
+        for got, want in zip(*runs):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_loader_builds_with_cc_and_gives_none_on_unusable_cache(self, tmp_path, monkeypatch):
         needs_cc_and_headers()
@@ -296,11 +305,15 @@ class TestVerletKernel:
             y[rng.random(n) < 0.05] = -0.0
             f = integrators._dkg_force(x, 0.1, 0.3)
             runs = [[x.copy(), y.copy(), f.copy()] for _ in range(2)]
-            assert dispatched.advance_verlet(*runs[0], 0.1, 0.3, 0.05, 40)
-            assert default.advance_verlet(*runs[1], 0.1, 0.3, 0.05, 40)
+            ran = n >= 3  # both builds decline rings under 3 sites, untouched
+            assert dispatched.advance_verlet(*runs[0], 0.1, 0.3, 0.05, 40) is ran
+            assert default.advance_verlet(*runs[1], 0.1, 0.3, 0.05, 40) is ran
             for a, b in zip(*runs):
                 assert np.array_equal(a, b)
                 assert np.array_equal(np.signbit(a), np.signbit(b))
+            if not ran:
+                for a, b in zip(runs[0], (x, y, f)):
+                    assert np.array_equal(a, b)
 
     def test_source_ships_next_to_module(self):
         # an installed package builds the kernels from its own copy of the source
