@@ -6,18 +6,30 @@
  *       the compiled form of dklab.integrators._advance_verlet_numpy.
  *   flow(a, abs_a, out, c0, c1, c2, g)
  *       out = -i [c0 a + c1 (a_+ + a_-) + c2 (a_++ + a_--) + g |a|^2 a],
- *       the dNLS stencil of dklab.dnls_models.rhs; abs_a holds |a|.
+ *       the dNLS stencil of dklab.dnls_models.rhs; abs_a holds |a|, or is
+ *       None, and then |a| is computed here.
  *   stage(a, k, out, c)
  *       out = a + c k, an intermediate RK4 stage.
  *   combine(a, k1, k2, k3, k4, out, c)
  *       out = a + c (k1 + 2 k2 + 2 k3 + k4), the RK4 update.
+ *   ansatz(a, adot, X, Xdot, e1, e3, rho, eps)
+ *       the two-harmonic ansatz X and its t-derivative Xdot of
+ *       dklab.approximation.leading_order, with e1 = e^{it}, e3 = e^{3it}.
+ *   energy_density(y, ydot, X, out, eps, rho)
+ *       the summand of dklab.approximation.error_energy, which sums it.
+ *   absolute(a, out)
+ *       out = |a| for a complex vector.
+ *   sup_abs(v, complex_ok)
+ *       max |v_j| of a float64 vector, or of a complex128 one when
+ *       complex_ok is true, NaN when an entry is NaN; None when declined.
  *
- * Every entry point returns True when it did the work and False, with
- * nothing written, when its arrays are not 1-D C-contiguous native float64
- * ("d") or complex128 ("Zd") buffers of one length of at least 3 sites, or
- * an output is read-only or overlaps another argument; the caller then runs
- * its numpy form.  Every ring dklab builds has 3 or more sites, so the
- * loops need no case for rings whose neighbours coincide.
+ * Every entry point but sup_abs returns True when it did the work and
+ * False, with nothing written, when its arrays are not 1-D C-contiguous
+ * native float64 ("d") or complex128 ("Zd") buffers of one length of at
+ * least 3 sites, or an output is read-only or overlaps another argument;
+ * the caller then runs its numpy form.  Every ring dklab builds has 3 or
+ * more sites, so the loops need no case for rings whose neighbours
+ * coincide.
  *
  * advance_verlet makes one pass over the ring per step, strip by strip, so
  * each strip's half-kick, drift, force and second half-kick run while it is
@@ -32,15 +44,35 @@
  * -ffast-math; vectorising keeps each site's operations as they are.  numpy
  * multiplies a real scalar or a real array by a complex array by promoting
  * the real factor to s + 0i, so its products carry the 0.0 * im terms that
- * scale() writes out.  No kernel multiplies two complex arrays, and |a|
- * comes from numpy, whose complex abs is not libm hypot.  Nothing here
- * writes to stdout or stderr.
+ * scale() writes out.  Real arithmetic (advance_verlet, energy_density, a
+ * float sup_abs) is IEEE arithmetic and needs nothing more.  Complex
+ * arithmetic follows what numpy's CPU dispatch runs on x86-64 with FMA:
+ * its complex abs is hi sqrt(fma(q, q, 1)) with q = lo/hi, its complex
+ * product of arrays is fused (mul()), and a**3 is the unfused product
+ * (cube()).  Those depend on the CPU and on the numpy build, so
+ * dklab._native compares absolute, ansatz and a complex sup_abs with numpy
+ * on a probe vector before any caller uses them, and callers pass numpy's
+ * |a| to flow when the probe fails.  fma() comes from libm (-lm), which
+ * rounds it once on every CPU.  Nothing here writes to stdout or stderr.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+/* The AVX2 clone of verlet() and the FMA clones of the complex loops are
+ * picked by the dynamic loader (an ifunc) on the CPU that runs them, so the
+ * built library suits every x86-64 machine.  An FMA clone computes fma()
+ * in one instruction where the plain loop calls libm's, which rounds the
+ * same.  Other compilers and platforms build the plain loops. */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__ELF__)
+#define CLONES(isa) __attribute__((target_clones(isa, "default")))
+#endif
+#ifndef CLONES
+#define CLONES(isa)
+#endif
 
 typedef struct {
     double re, im;
@@ -67,6 +99,44 @@ times_minus_i(cplx v)
 {
     cplx r = {-0.0 * v.re - -1.0 * v.im, -0.0 * v.im + -1.0 * v.re};
     return r;
+}
+
+/* numpy's u * v of complex arrays, or of a complex array and a complex
+ * scalar: its SIMD loop fuses each part's second product into the first */
+static inline cplx
+mul(cplx u, cplx v)
+{
+    cplx r = {fma(u.re, v.re, -(u.im * v.im)), fma(u.re, v.im, u.im * v.re)};
+    return r;
+}
+
+/* numpy's a**3: the unfused products a (a a), and +0 + 0i for a zero a */
+static inline cplx
+cube(cplx a)
+{
+    cplx s = {a.re * a.re - a.im * a.im, a.re * a.im + a.im * a.re};
+    cplx r = {a.re * s.re - a.im * s.im, a.re * s.im + a.im * s.re};
+
+    if (a.re == 0.0 && a.im == 0.0)
+        r.re = r.im = 0.0;
+    return r;
+}
+
+/* numpy's |v|: inf when a part is infinite, else NaN when a part is NaN,
+ * else hi sqrt(1 + q^2) with q = lo/hi (0 when hi is 0) and 1 + q^2 fused */
+static inline double
+magnitude(cplx v)
+{
+    double re = fabs(v.re), im = fabs(v.im), hi, lo, q;
+
+    if (isinf(re) || isinf(im))
+        return INFINITY;
+    if (isnan(re) || isnan(im))
+        return NAN;
+    hi = re > im ? re : im;
+    lo = re > im ? im : re;
+    q = hi == 0.0 ? 0.0 : lo / hi;
+    return hi * sqrt(fma(q, q, 1.0));
 }
 
 /* -- argument handling --------------------------------------------------- */
@@ -195,15 +265,6 @@ force(double left, double centre, double right, double eps, double rho)
  * 12 KiB, so a strip stays in L1 between its two halves. */
 #define STRIP 512
 
-/* The AVX2 clone of verlet() is picked by the dynamic loader (an ifunc) on
- * the CPU that runs it, so the built library suits every x86-64 machine.
- * Other compilers and platforms build the plain loop. */
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__ELF__)
-#define VECTOR_CLONES __attribute__((target_clones("avx2", "default")))
-#endif
-#ifndef VECTOR_CLONES
-#define VECTOR_CLONES
-#endif
 
 /* First half-kick and drift of sites lo..hi-1. */
 static inline void
@@ -233,7 +294,7 @@ force_kick(const double *restrict x, double *restrict y, double *restrict f,
  * sites one ahead of it and takes its forces while they are still in L1;
  * site n-1 comes last.  Every site sees the operations of the two-pass
  * loop on the same operands, so the result is the same to the bit. */
-static VECTOR_CLONES void
+static CLONES("avx2") void
 verlet(double *x, double *y, double *f, Py_ssize_t n, double eps, double rho,
        double dt, long long n_steps)
 {
@@ -281,31 +342,17 @@ advance_verlet(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
 
 /* -- dNLS stencil and RK4 stages ----------------------------------------- */
 
-static PyObject *
-flow(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+/* The loop of flow; abs_a is NULL when |a| is to be computed here. */
+static CLONES("fma") void
+stencil(const cplx *a, const double *abs_a, cplx *out, Py_ssize_t n,
+        double c0, double c1, double c2, double g)
 {
-    static const char *const formats[] = {"Zd", "d", "wZd"};
-    Py_buffer v[MAX_ARRAYS];
-    double c[4];
-    int got;
-
-    if (arity(nargs, 7, "flow") < 0 || doubles(args + 3, 4, c) < 0)
-        return NULL;
-    got = vectors(args, 3, formats, v);
-    if (got <= 0)
-        return declined(got);
-
-    const cplx *a = v[0].buf;
-    const double *abs_a = v[1].buf;
-    cplx *out = v[2].buf;
-    const Py_ssize_t n = v[0].shape[0];
-    const double c0 = c[0], c1 = c[1], c2 = c[2], g = c[3];
-
     for (Py_ssize_t j = 0; j < n; j++) {
         /* neighbor_sum(a, k) is a[j+k] + a[j-k] on the ring */
         Py_ssize_t up = j + 1 < n ? j + 1 : j + 1 - n;
         Py_ssize_t dn = j >= 1 ? j - 1 : j - 1 + n;
         cplx grad = scale(c1, add(a[up], a[dn]));
+        double m = abs_a != NULL ? abs_a[j] : magnitude(a[j]);
 
         /* numpy's _flow skips the c0 and c2 terms when they are zero */
         if (c0 != 0.0)
@@ -316,10 +363,32 @@ flow(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
             grad = add(grad, scale(c2, add(a[up], a[dn])));
         }
         /* g * |a|**2 is a real array, promoted to complex to multiply a */
-        grad = add(grad, scale(g * (abs_a[j] * abs_a[j]), a[j]));
+        grad = add(grad, scale(g * (m * m), a[j]));
         out[j] = times_minus_i(grad);
     }
-    release(v, 3);
+}
+
+static PyObject *
+flow(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char *const formats[] = {"Zd", "wZd", "d"};
+    Py_buffer v[MAX_ARRAYS];
+    double c[4];
+    int got;
+
+    if (arity(nargs, 7, "flow") < 0 || doubles(args + 3, 4, c) < 0)
+        return NULL;
+    /* a, out and, unless it is None, abs_a */
+    PyObject *const arrays[] = {args[0], args[2], args[1]};
+    const int count = args[1] == Py_None ? 2 : 3;
+
+    got = vectors(arrays, count, formats, v);
+    if (got <= 0)
+        return declined(got);
+
+    stencil(v[0].buf, count == 3 ? v[2].buf : NULL, v[1].buf, v[0].shape[0],
+            c[0], c[1], c[2], c[3]);
+    release(v, count);
     Py_RETURN_TRUE;
 }
 
@@ -373,6 +442,168 @@ combine(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_TRUE;
 }
 
+/* -- ansatz, error energy and magnitudes --------------------------------- */
+
+/* Convert count Python numbers to complex values; -1 with an exception set
+ * when one is not a number. */
+static int
+complexes(PyObject *const *args, int count, cplx *out)
+{
+    for (int i = 0; i < count; i++) {
+        out[i].re = PyComplex_RealAsDouble(args[i]);
+        if (out[i].re == -1.0 && PyErr_Occurred())
+            return -1;
+        out[i].im = PyComplex_ImagAsDouble(args[i]);
+        if (out[i].im == -1.0 && PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+/* The loop of ansatz. */
+static CLONES("fma") void
+two_harmonics(const cplx *a, const cplx *adot, double *x, double *xdot, Py_ssize_t n,
+              cplx e1, cplx e3, double rho, double eps)
+{
+    /* 1j, eps and 3.0 as numpy's complex factors; 0.25 * rho is a float */
+    const cplx i1 = {0.0, 1.0}, eps1 = {eps, 0.0}, three = {3.0, 0.0};
+    const double quarter_rho = 0.25 * rho;
+
+    for (Py_ssize_t j = 0; j < n; j++) {
+        /* numpy: x = 2.0 * real(a * e1) + 0.25 * rho * real(a**3 * e3) */
+        cplx a3 = cube(a[j]);
+
+        x[j] = 2.0 * mul(a[j], e1).re + quarter_rho * mul(a3, e3).re;
+        /* numpy: xdot = 2.0 * real((1j * a + eps * adot) * e1)
+         *   + 0.25 * rho * real(3.0 * (1j * a**3 + eps * a**2 * adot) * e3) */
+        cplx g1 = add(mul(i1, a[j]), mul(eps1, adot[j]));
+        cplx g3 = mul(three, add(mul(i1, a3), mul(mul(eps1, mul(a[j], a[j])), adot[j])));
+
+        xdot[j] = 2.0 * mul(g1, e1).re + quarter_rho * mul(g3, e3).re;
+    }
+}
+
+static PyObject *
+ansatz(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char *const formats[] = {"Zd", "Zd", "wd", "wd"};
+    Py_buffer v[MAX_ARRAYS];
+    cplx e[2];
+    double p[2];
+    int got;
+
+    if (arity(nargs, 8, "ansatz") < 0 || complexes(args + 4, 2, e) < 0
+        || doubles(args + 6, 2, p) < 0)
+        return NULL;
+    got = vectors(args, 4, formats, v);
+    if (got <= 0)
+        return declined(got);
+
+    two_harmonics(v[0].buf, v[1].buf, v[2].buf, v[3].buf, v[0].shape[0], e[0], e[1],
+                  p[0], p[1]);
+    release(v, 4);
+    Py_RETURN_TRUE;
+}
+
+static PyObject *
+energy_density(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char *const formats[] = {"d", "d", "d", "wd"};
+    Py_buffer v[MAX_ARRAYS];
+    double p[2];
+    int got;
+
+    if (arity(nargs, 6, "energy_density") < 0 || doubles(args + 4, 2, p) < 0)
+        return NULL;
+    got = vectors(args, 4, formats, v);
+    if (got <= 0)
+        return declined(got);
+
+    const double *y = v[0].buf, *ydot = v[1].buf, *x = v[2].buf;
+    double *out = v[3].buf;
+    const Py_ssize_t n = v[0].shape[0];
+    const double two_eps = 2.0 * p[0], three_rho = 3.0 * p[1];
+
+    for (Py_ssize_t j = 0; j < n; j++) {
+        /* numpy: ydot*ydot + y*y + 3.0*rho*X*X*y*y
+         *        - 2.0*epsilon*y*np.roll(y, -1) */
+        double next = y[j + 1 < n ? j + 1 : 0];
+
+        out[j] = ((ydot[j] * ydot[j] + y[j] * y[j])
+                  + (((three_rho * x[j]) * x[j]) * y[j]) * y[j])
+                 - (two_eps * y[j]) * next;
+    }
+    release(v, 4);
+    Py_RETURN_TRUE;
+}
+
+static CLONES("fma") void
+magnitudes(const cplx *a, double *out, Py_ssize_t n)
+{
+    for (Py_ssize_t j = 0; j < n; j++)
+        out[j] = magnitude(a[j]);
+}
+
+/* np.max(np.abs(a)): NaN as soon as one |a_j| is NaN */
+static CLONES("fma") double
+largest_magnitude(const cplx *a, Py_ssize_t n)
+{
+    double m = 0.0;
+
+    for (Py_ssize_t j = 0; j < n && !isnan(m); j++) {
+        double r = magnitude(a[j]);
+
+        m = isnan(r) || r > m ? r : m;
+    }
+    return m;
+}
+
+static PyObject *
+absolute(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char *const formats[] = {"Zd", "wd"};
+    Py_buffer v[MAX_ARRAYS];
+    int got;
+
+    if (arity(nargs, 2, "absolute") < 0)
+        return NULL;
+    got = vectors(args, 2, formats, v);
+    if (got <= 0)
+        return declined(got);
+
+    magnitudes(v[0].buf, v[1].buf, v[0].shape[0]);
+    release(v, 2);
+    Py_RETURN_TRUE;
+}
+
+static PyObject *
+sup_abs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char *const real_format[] = {"d"}, *const complex_format[] = {"Zd"};
+    Py_buffer v[1];
+    int complex_ok, got;
+    double m = 0.0;
+
+    if (arity(nargs, 2, "sup_abs") < 0 || (complex_ok = PyObject_IsTrue(args[1])) < 0)
+        return NULL;
+    got = vectors(args, 1, real_format, v);
+    if (got == 1) {
+        const double *x = v[0].buf;
+
+        /* np.max propagates NaN */
+        for (Py_ssize_t j = 0; j < v[0].shape[0] && !isnan(m); j++)
+            m = isnan(x[j]) || fabs(x[j]) > m ? fabs(x[j]) : m;
+    }
+    else if (got == 0 && complex_ok && (got = vectors(args, 1, complex_format, v)) == 1)
+        m = largest_magnitude(v[0].buf, v[0].shape[0]);
+    if (got < 0)
+        return NULL;
+    if (got == 0)
+        Py_RETURN_NONE;
+    release(v, 1);
+    return PyFloat_FromDouble(m);
+}
+
 /* -- module ----------------------------------------------------------------- */
 
 static PyMethodDef methods[] = {
@@ -384,13 +615,22 @@ static PyMethodDef methods[] = {
      "stage(a, k, out, c) -> bool"},
     {"combine", (PyCFunction)(void (*)(void))combine, METH_FASTCALL,
      "combine(a, k1, k2, k3, k4, out, c) -> bool"},
+    {"ansatz", (PyCFunction)(void (*)(void))ansatz, METH_FASTCALL,
+     "ansatz(a, adot, X, Xdot, e1, e3, rho, eps) -> bool"},
+    {"energy_density", (PyCFunction)(void (*)(void))energy_density, METH_FASTCALL,
+     "energy_density(y, ydot, X, out, eps, rho) -> bool"},
+    {"absolute", (PyCFunction)(void (*)(void))absolute, METH_FASTCALL,
+     "absolute(a, out) -> bool"},
+    {"sup_abs", (PyCFunction)(void (*)(void))sup_abs, METH_FASTCALL,
+     "sup_abs(v, complex_ok) -> float or None"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernels_module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "dklab._kernels",
-    .m_doc = "Compiled Verlet loop, dNLS stencil and RK4 stages of dklab.",
+    .m_doc = "Compiled Verlet loop, dNLS stencil, RK4 stages, ansatz and "
+              "error energy of dklab.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -1,9 +1,10 @@
 """Build and load ``dklab._kernels``, the CPython extension compiled from
-``_kernels.c`` (shipped next to this file).
+``_kernels.c`` (shipped next to this file), and probe its complex arithmetic.
 
 The extension is built on the first call of :func:`kernels`, never at
 import, with the system ``cc -O3 -ffp-contract=off -shared -fPIC`` against
-the running interpreter's headers, into ``$XDG_CACHE_HOME/dklab/`` (default
+the running interpreter's headers and linked with ``-lm``, whose ``fma``
+rounds once on every CPU, into ``$XDG_CACHE_HOME/dklab/`` (default
 ``~/.cache/dklab/``).  Its file name carries a hash of the source, the
 flags, the machine type and the interpreter's extension suffix, so a changed
 source or another interpreter builds its own library.  The flags name no
@@ -17,6 +18,15 @@ captured.
 When there is no ``cc``, no ``Python.h``, no writable cache, or the library
 does not import, :func:`kernels` returns None and every caller runs its
 numpy form instead; no option or environment variable selects the path.
+
+Real arithmetic in the kernels is numpy's by construction.  Complex
+arithmetic is numpy's only where numpy's CPU dispatch computes |a| as
+hi sqrt(fma(q, q, 1)) and fuses its complex products, as on x86-64 with
+FMA.  So :func:`complex_exact` runs :func:`probe` once per process, on the
+first kernel use that needs it, never at import: it compares the kernels'
+``absolute``, ``ansatz`` and complex ``sup_abs`` with numpy on a fixed
+finite vector.  When they differ, callers pass numpy's |a| to ``flow`` and
+run the numpy forms of the ansatz and of the complex blow-up guard.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import os
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernels.c")
-FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC", "-lm")
 
 
 @functools.cache
@@ -38,6 +48,53 @@ def kernels():
     if not os.path.isabs(base):  # no usable home directory: never write into the cwd
         return None
     return load(Path(base, "dklab"), sysconfig.get_paths()["include"])
+
+
+@functools.cache
+def complex_exact() -> bool:
+    """True when this process's kernels compute numpy's complex abs, ansatz
+    and complex ``sup_abs`` bit for bit, as :func:`probe` finds on its first
+    call; False without kernels."""
+    module = kernels()
+    return module is not None and probe(module)
+
+
+def probe(module) -> bool:
+    """Compare the complex arithmetic of the kernels ``module`` with numpy's,
+    bit for bit, on every pair of parts from +-0.0, subnormals, +-1e+-100
+    and a few plain values, followed by 64 entries of scattered signs,
+    mantissas and magnitudes."""
+    import numpy as np
+
+    # the numpy reference of the ansatz; imported here, as approximation
+    # imports the modules that import this one
+    from .approximation import _ansatz_numpy
+
+    parts = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-100, -1e-100,
+             1e100, -1e100, 1.0, -0.5, 3.0]
+    # float arithmetic only: a numpy function the program does not call
+    # would add its code pages to the process's memory
+    scattered = [((i * 0.6180339887498949) % 1.0 - 0.5) * 10.0 ** (i % 9 - 4)
+                 for i in range(1, 129)]
+    a = np.empty(len(parts) ** 2 + 64, complex)  # set by parts: arithmetic would flip -0.0
+    a.real = [p for p in parts for _ in parts] + scattered[:64]
+    a.imag = parts * len(parts) + scattered[64:]
+    adot = a[::-1].copy()
+    rho, eps, t = 0.3, 0.07, 1.7
+    e1, e3 = complex(np.exp(1j * t)), complex(np.exp(3j * t))
+
+    def same(u, v):
+        return u.dtype == v.dtype and u.tobytes() == v.tobytes()
+
+    magnitude, x, xdot = np.empty(len(a)), np.empty(len(a)), np.empty(len(a))
+    return (
+        module.absolute(a, magnitude)
+        and same(magnitude, np.abs(a))
+        and module.ansatz(a, adot, x, xdot, e1, e3, rho, eps)
+        and all(map(same, (x, xdot), _ansatz_numpy(a, adot, e1, e3, rho, eps)))
+        and all(module.sup_abs(a[i:i + 4], True) == np.max(np.abs(a[i:i + 4]))
+                for i in range(0, len(a), 4))
+    )
 
 
 def load(cache: Path, include: str):
@@ -74,7 +131,7 @@ def load(cache: Path, include: str):
             os.close(fd)
             try:
                 subprocess.run(
-                    [cc, *flags, "-o", tmp, str(SOURCE)],
+                    [cc, str(SOURCE), *flags, "-o", tmp],  # -lm after the source
                     check=True, capture_output=True, timeout=120,
                 )
                 os.replace(tmp, lib)

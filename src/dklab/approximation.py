@@ -62,6 +62,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _native
 from .errors import RegimeError
 from .dnls_models import DnlsModel, GeneralizedDnls, StandardDnls, rhs, second_derivative
 from .integrators import (
@@ -133,17 +134,31 @@ def leading_order(
         X'_j = (i a_j + eps a'_j) e^{it} + c.c.
                + rho/8 (3 i a_j^3 + 3 eps a_j^2 a'_j) e^{3it} + c.c.
 
-    The conjugate-pair structure makes X and X' exactly real.
+    The conjugate-pair structure makes X and X' exactly real.  Runs the
+    compiled ``ansatz`` when ``_native.complex_exact()`` holds and the
+    arrays suit it, else ``_ansatz_numpy``; both give bit-identical results.
     """
     a = np.asarray(a, dtype=complex)
     adot = np.asarray(adot, dtype=complex)
     e1 = complex(np.exp(1j * t))
     e3 = complex(np.exp(3j * t))
+    if _native.complex_exact():
+        x, xdot = np.empty(a.shape), np.empty(a.shape)
+        if _native.kernels().ansatz(a, adot, x, xdot, e1, e3, rho, epsilon):
+            return AnsatzSample(x, xdot, t)
+    return AnsatzSample(*_ansatz_numpy(a, adot, e1, e3, rho, epsilon), t)
+
+
+def _ansatz_numpy(
+    a: np.ndarray, adot: np.ndarray, e1: complex, e3: complex, rho: float, epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy form of ``leading_order``'s X and X', with e1 = e^{it} and
+    e3 = e^{3it}, and the reference its compiled form must match bit for bit."""
     x = 2.0 * np.real(a * e1) + 0.25 * rho * np.real(a**3 * e3)
     xdot = 2.0 * np.real((1j * a + epsilon * adot) * e1) + 0.25 * rho * np.real(
         3.0 * (1j * a**3 + epsilon * a**2 * adot) * e3
     )
-    return AnsatzSample(x, xdot, t)
+    return x, xdot
 
 
 def _ansatz_acceleration(
@@ -238,7 +253,8 @@ def error_energy(
 
     Coercivity needs eps < 1/4; then ||ydot||^2 + ||y||^2 <= 4 E on any
     input, which callers may rely on when converting Q bounds into norm
-    bounds.
+    bounds.  The compiled ``energy_density`` fills the summand when the
+    arrays suit it, in numpy's order, and numpy sums it either way.
     """
     if not (0.0 <= epsilon < 0.25):
         raise ValueError(
@@ -248,14 +264,16 @@ def error_energy(
     y = np.asarray(y, dtype=float)
     ydot = np.asarray(ydot, dtype=float)
     X = np.asarray(X, dtype=float)
-    e = 0.5 * float(
-        np.sum(
+    kernels = _native.kernels()
+    density = np.empty(y.shape)
+    if kernels is None or not kernels.energy_density(y, ydot, X, density, epsilon, rho):
+        density = (
             ydot * ydot
             + y * y
             + 3.0 * rho * X * X * y * y
             - 2.0 * epsilon * y * np.roll(y, -1)
         )
-    )
+    e = 0.5 * float(np.sum(density))
     return e, math.sqrt(max(e, 0.0))
 
 

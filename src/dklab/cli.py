@@ -23,8 +23,10 @@ sweep             alias of ``justify --sweep``
 ``justify-extended`` adds ``--alpha``, ``--big-a`` and ``--c-const``, the
 other two ``--sweep``, ``--c0-scale`` and ``--svg``.  ``--sweep`` takes
 distinct eps values and no ``--rho``.  Parsing builds and checks every run
-such a command makes (``ExperimentConfig.runs``) before any work; for every
-command it refuses ``--n`` above ``MAX_N`` and a soliton profile that
+such a command makes (``ExperimentConfig.runs``) before any work, and so the
+step plan of ``simulate-dkg``/``simulate-dnls`` and ``breather-return``'s
+period and horizon (``solitons.breather_plan``); for every command it
+refuses ``--n`` above ``MAX_N`` and a soliton profile that
 ``solitons.check_profile`` refuses.
 
 Configuration values may come from a flat key-value file (``--config``,
@@ -84,8 +86,9 @@ class ExperimentConfig:
     outdir: Path
     seed: int
     config_hash: str
-    # the justify family's runs, built and checked at parse; not hashed
-    runs: tuple[approximation.JustificationConfig, ...] = ()
+    # the runs built and checked at parse, not hashed: the justify family's
+    # JustificationConfigs, or a simulation's IntegratorConfig
+    runs: tuple = ()
 
 
 # -- parsing -------------------------------------------------------------------
@@ -277,8 +280,9 @@ def _non_finite(value) -> bool:
 
 
 def _validate(command: str, params: dict, seed: int) -> tuple:
-    """Check ``params``, and the soliton profile the command will solve; return
-    the justify family's runs, built with ``seed``."""
+    """Check ``params``, the soliton profile the command will solve and a
+    breather-return plan; return the checked runs: the justify family's, built
+    with ``seed``, or a simulation's :class:`IntegratorConfig`."""
     for name, value in params.items():
         if _non_finite(value):
             raise _CliError(f"--{name.replace('_', '-')} {value} must be finite")
@@ -329,7 +333,10 @@ def _validate(command: str, params: dict, seed: int) -> tuple:
     elif params.get("init", params.get("a0")) == "soliton":  # simulate-dnls, justify family
         solitons.check_profile(params["omega_s"], 1.0, params["n"])
     if command == "breather-return":
-        solitons.carrier_shift(params["epsilon"], params["omega_s"])
+        solitons.breather_plan(params["epsilon"], params["omega_s"],
+                               params["epsilon"] * params["nu"], params["periods"], params["dt"])
+    elif command in ("simulate-dkg", "simulate-dnls"):
+        runs.append(integrators.IntegratorConfig(params["dt"], params["t_end"], params["stride"]))
     return tuple(runs)
 
 
@@ -462,7 +469,7 @@ def _write_run(cfg: ExperimentConfig, traj: integrators.Trajectory, summary: dic
 
 def _cmd_simulate_dkg(cfg: ExperimentConfig) -> int:
     p = cfg.params
-    icfg = integrators.IntegratorConfig(p["dt"], p["t_end"], p["stride"])
+    (icfg,) = cfg.runs
     mp = ModelParams(p["epsilon"], p["rho"], p["n"])
     if p["init"] == "breather":
         profile = solitons.solve_soliton(p["omega_s"], p["rho"] / p["epsilon"], p["n"])
@@ -509,7 +516,7 @@ def _cmd_simulate_dkg(cfg: ExperimentConfig) -> int:
 
 def _cmd_simulate_dnls(cfg: ExperimentConfig) -> int:
     p = cfg.params
-    icfg = integrators.IntegratorConfig(p["dt"], p["t_end"], p["stride"])
+    (icfg,) = cfg.runs
     n_half = p["n"]
     if p["model"] == "standard":
         model = StandardDnls(p["nu"])

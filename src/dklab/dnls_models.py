@@ -21,8 +21,11 @@ is the flow of the truncated resonant normal form (see
 ``rhs`` runs the stencil as the compiled kernel ``flow`` of the extension
 ``dklab._kernels`` (built and loaded by :mod:`dklab._native`) when it is
 available and ``a`` is a contiguous complex128 vector of 3 or more sites;
-otherwise, and for ``second_derivative``, it runs the numpy ``_flow``.  Both perform the same
-operations in the same order, so they agree bit for bit.
+otherwise, and for ``second_derivative``, it runs the numpy ``_flow``.  Both
+perform the same operations in the same order, so they agree bit for bit.
+``flow`` computes |a| itself when :func:`dklab._native.complex_exact` has
+found the kernels' complex abs equal to numpy's in this process, and takes
+numpy's |a| otherwise.  Each model computes its ``coefficients`` once.
 
 Every right-hand side conserves the squared l2 norm of the envelope, is
 equivariant under cyclic shifts, and is invariant under global phase
@@ -32,6 +35,7 @@ that residual evaluations never resort to numerical differentiation.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Union
@@ -128,7 +132,7 @@ class StandardDnls:
                 stacklevel=2,
             )
 
-    @property
+    @functools.cached_property
     def coefficients(self) -> tuple[float, float, float, float]:
         return 0.0, 0.5, 0.0, -1.5 * self.nu
 
@@ -154,7 +158,7 @@ class GeneralizedDnls:
                 stacklevel=2,
             )
 
-    @property
+    @functools.cached_property
     def coefficients(self) -> tuple[float, float, float, float]:
         eps = self.epsilon
         return 0.25 * eps, 0.5, 0.125 * eps, -1.5 * eps * self.delta
@@ -182,7 +186,7 @@ class NormalFormDnls:
         if self.b2 is not None and not (np.isfinite(self.b2) and self.b2 <= 0.0):
             raise ValueError(f"b2={self.b2} must be <= 0 when present")
 
-    @property
+    @functools.cached_property
     def coefficients(self) -> tuple[float, float, float, float]:
         return self.Omega, self.b1, 0.0 if self.b2 is None else self.b2, 0.75
 
@@ -233,16 +237,17 @@ def rhs(model: DnlsModel, a: np.ndarray) -> np.ndarray:
 
     Runs the compiled stencil ``flow`` of ``dklab._kernels`` on contiguous
     complex128 vectors of 3 or more sites, else ``_flow``; both give
-    bit-identical results.  |a| is numpy's in both.
+    bit-identical results.  ``flow`` computes |a| itself when
+    ``_native.complex_exact()`` holds, and takes numpy's otherwise.
     """
     coefficients = model.coefficients
-    abs_a = np.abs(a)
     kernels = _native.kernels()
     if kernels is not None:
-        out = np.empty(abs_a.shape, complex)
+        out = np.empty(len(a), complex)
+        abs_a = None if _native.complex_exact() else np.abs(a)
         if kernels.flow(a, abs_a, out, *coefficients):
             return out
-    return _flow(coefficients, a, coefficients[3] * abs_a**2 * a)
+    return _flow(coefficients, a, coefficients[3] * np.abs(a) ** 2 * a)
 
 
 def rhs_standard(a: np.ndarray, nu: float) -> np.ndarray:

@@ -27,17 +27,20 @@ sample that trips the guard always means the discretisation failed.
 Times in a trajectory are in the model's own clock: fast time for the chain
 and the normal-form envelope, slow time for the multiscale envelopes.
 
-The chain's step loop ``_advance_verlet`` and the stage arithmetic of the
-envelope step ``_rk4_step`` run compiled kernels of the extension
-``dklab._kernels``, which :mod:`dklab._native` builds from ``_kernels.c`` on
-first use (never at import); ``dnls_models.rhs``, which ``_rk4_step`` calls
-four times per step, runs its stencil there too. The Verlet kernel makes one
-pass over the ring per step, strip by strip, in loops that gcc vectorises at
-``-O3``, with an AVX2 clone picked at load time on x86-64. The kernels perform
-numpy's operations in the same order, so their results are bit-identical to
-``_advance_verlet_numpy`` and ``_rk4_step_numpy``, which stay as the
-references. When there is no compiler, no Python headers, no writable cache,
-the extension does not import, or the arrays are not equal-length,
+The chain's step loop ``_advance_verlet``, the stage arithmetic of the
+envelope step ``_rk4_step`` and the blow-up guard run compiled kernels of the
+extension ``dklab._kernels``, which :mod:`dklab._native` builds from
+``_kernels.c`` on first use (never at import); ``dnls_models.rhs``, which
+``_rk4_step`` calls four times per step, runs its stencil there too. The
+Verlet kernel makes one pass over the ring per step, strip by strip, in loops
+that gcc vectorises at ``-O3``, with an AVX2 clone picked at load time on
+x86-64. The kernels perform numpy's operations in the same order, so their
+results are bit-identical to ``_advance_verlet_numpy`` and
+``_rk4_step_numpy``, which stay as the references. The guard's ``sup_abs``
+returns np.max(np.abs(arr)) of a float64 vector, and of a complex128 one
+when :func:`dklab._native.complex_exact` has found the kernels' complex abs
+equal to numpy's. When there is no compiler, no Python headers, no writable
+cache, the extension does not import, or the arrays are not equal-length,
 contiguous, native float64 (chain) or complex128 (envelope) vectors of 3 or
 more sites, the numpy forms run instead, silently. :func:`verlet_backend`
 reports which of the two the process uses.
@@ -45,6 +48,7 @@ reports which of the two the process uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -278,9 +282,17 @@ def step_envelope_rk4(env: EnvelopeState, model: DnlsModel, dt: float) -> Envelo
 
 
 def _check_sane(arrs: Iterable[np.ndarray], t_last_good: float, initial: bool = False) -> None:
+    """Raise BlowUpError when an array has a non-finite entry or one beyond
+    ``BLOWUP_LIMIT`` in magnitude.  The compiled ``sup_abs`` takes float64
+    vectors, and complex128 ones when ``_native.complex_exact()`` holds; it
+    returns np.max(np.abs(arr)), so both paths decide alike."""
+    kernels = _native.kernels()
+    complex_ok = _native.complex_exact()
     for arr in arrs:
-        m = np.max(np.abs(arr)) if arr.size else 0.0
-        if not np.isfinite(m) or m > BLOWUP_LIMIT:
+        m = None if kernels is None else kernels.sup_abs(arr, complex_ok)
+        if m is None:
+            m = np.max(np.abs(arr)) if arr.size else 0.0
+        if not math.isfinite(m) or m > BLOWUP_LIMIT:
             what = "initial state out of range" if initial else "state blew up during integration"
             raise BlowUpError(what, t_last_good)
 

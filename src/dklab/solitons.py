@@ -56,6 +56,7 @@ __all__ = [
     "check_profile",
     "tail_decay_ratios",
     "build_breather_initial",
+    "breather_plan",
     "breather_return_error",
     "carrier_shift",
     "MAX_NEWTON_N",
@@ -266,6 +267,34 @@ class BreatherReturnReport:
     errors: np.ndarray
 
 
+def breather_plan(
+    epsilon: float, Omega_s: float, rho: float, n_periods: int, dt: float = 1e-3
+) -> tuple[float, IntegratorConfig]:
+    """The period T = 2 pi / (1 + eps Omega_s) of the breather of a profile
+    with ``Omega_s``, and the chain's steps over ``n_periods`` periods.
+
+    Refuses eps Omega_s above ``MAX_EPS_OMEGA``, outside the small-amplitude
+    regime, then fewer than one period, then horizons beyond tau0/rho with
+    tau0 = 1, past which the envelope approximation no longer controls the
+    error, then runs of more than ``MAX_STEPS`` steps in all.  The step is
+    snapped to divide the period exactly, so :func:`dklab.integrators.integrate`
+    records the chain at kT without interpolation.  It allocates nothing, so
+    a caller can check a run before any work.
+    """
+    period = 2.0 * math.pi / (1.0 + carrier_shift(epsilon, Omega_s))
+    if n_periods < 1:
+        raise ValueError("n_periods must be >= 1")
+    if n_periods * period > 1.0 / rho + 1e-9:
+        raise RegimeError(
+            f"{n_periods} periods of T={period:.4f} exceed the validity "
+            f"horizon 1/rho={1.0 / rho:.4f}"
+        )
+    # no fewer steps than IntegratorConfig's largest step MAX_DT needs
+    steps = max(step_count(period, dt), math.ceil(period / MAX_DT))
+    h = period / steps
+    return period, IntegratorConfig(h, n_periods * steps * h, steps)
+
+
 def breather_return_error(
     profile: SolitonProfile,
     epsilon: float,
@@ -275,27 +304,10 @@ def breather_return_error(
 ) -> BreatherReturnReport:
     """Integrate the chain from the constructed breather and report the
     mismatch with the initial state after each period
-    T = 2 pi / (1 + eps Omega_s) of the stationary envelope.
-
-    Refuses eps Omega_s above ``MAX_EPS_OMEGA``, outside the small-amplitude
-    regime, then horizons beyond tau0/rho with tau0 = 1, past which the
-    envelope approximation no longer controls the error, then runs of more than
-    ``MAX_STEPS`` steps in all.  The step is snapped to divide the period
-    exactly, so :func:`dklab.integrators.integrate` records the chain at kT
-    without interpolation.
+    T = 2 pi / (1 + eps Omega_s) of the stationary envelope, over the steps
+    of :func:`breather_plan`, which refuses the run before any work.
     """
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
-    period = 2.0 * math.pi / (1.0 + carrier_shift(epsilon, profile.Omega_s))
-    if n_periods * period > 1.0 / rho + 1e-9:
-        raise RegimeError(
-            f"{n_periods} periods of T={period:.4f} exceed the validity "
-            f"horizon 1/rho={1.0 / rho:.4f}"
-        )
-    # no fewer steps than IntegratorConfig's largest step MAX_DT needs
-    steps = max(step_count(period, dt), math.ceil(period / MAX_DT))
-    h = period / steps
-    config = IntegratorConfig(h, n_periods * steps * h, steps)
+    period, config = breather_plan(epsilon, profile.Omega_s, rho, n_periods, dt)
     state0 = build_breather_initial(profile, epsilon, rho)
     x0, y0 = state0.x, state0.y
     traj = integrate(state0, ModelParams(epsilon, rho, profile.n_half), config, [

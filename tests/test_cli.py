@@ -728,6 +728,23 @@ class TestExitContract:
         assert out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["breather-return", "--periods", "0", "--n", "8"], "n_periods must be >= 1"),
+        (["breather-return", "--periods", "100", "--n", "8"],
+         "100 periods of T=5.8448 exceed the validity horizon 1/rho=20.0000"),
+        (["simulate-dkg", "--t-end", "1e-5", "--n", "4"], "t_end=1e-05 must be >= dt=0.001"),
+        (["simulate-dnls", "--t-end", "1e-5", "--n", "4"], "t_end=1e-05 must be >= dt=0.001"),
+        (["simulate-dkg", "--t-end", "1e12", "--n", "4"], "above the ceiling of 100000000 steps"),
+        (["simulate-dnls", "--stride", "0", "--n", "4"], "stride 0 must be >= 1"),
+    ], ids=["no-period", "past-horizon", "dkg-short", "dnls-short", "dkg-steps", "dnls-stride"])
+    def test_run_plan_refused_at_parse(self, argv, message, tmp_path, capsys):
+        # these used to print the effective configuration and create out/
+        # before breather_return_error or IntegratorConfig refused the run
+        code, out, err = run_cli([*argv, "--out", str(tmp_path / "out")], capsys)
+        assert_one_error_line(code, err, message)
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_failed_sweep_fit_leaves_out_empty(self, tmp_path, capsys):
         # the three report CSVs used to be written before the slope fit failed
         code, _, err = run_cli(

@@ -315,6 +315,41 @@ class TestVerletKernel:
                 for a, b in zip(runs[0], (x, y, f)):
                     assert np.array_equal(a, b)
 
+    def test_plain_complex_loops_match_dispatched(self, tmp_path, monkeypatch):
+        # with FMA the loader picks the complex loops' FMA clones, which
+        # compute fma() in one instruction; a build without the clones
+        # calls libm's fma, which must round the same, signs of zeros included
+        needs_cc_and_headers()
+        dispatched = _native.kernels()
+        if dispatched is None:
+            pytest.skip("the extension does not build here")
+        source = tmp_path / "_kernels.c"
+        source.write_text("".join(
+            line for line in _native.SOURCE.read_text().splitlines(keepends=True)
+            if "__attribute__((target_clones" not in line
+        ))
+        monkeypatch.setattr(_native, "SOURCE", source)
+        plain = _native.load(tmp_path / "cache", sysconfig.get_paths()["include"])
+        assert plain is not None
+
+        rng = np.random.default_rng(13)
+        e1, e3 = complex(np.exp(0.7j)), complex(np.exp(2.1j))
+        for n in (3, 33, 129):
+            a = np.empty(n, complex)
+            a.real, a.imag = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-100, 100, (2, n))
+            a.real[rng.random(n) < 0.1] = -0.0
+            adot = a[::-1].copy()
+            runs = []
+            for kernels in (dispatched, plain):
+                m, x, xdot = np.empty((3, n))
+                out = np.empty(n, complex)
+                assert kernels.absolute(a, m)
+                assert kernels.ansatz(a, adot, x, xdot, e1, e3, 0.3, 0.07)
+                assert kernels.flow(a, None, out, 0.025, 0.5, 0.0125, -0.15)
+                runs.append((m, x, xdot, out.view(float), np.array([kernels.sup_abs(a, True)])))
+            for got, want in zip(*runs):
+                assert got.tobytes() == want.tobytes()
+
     def test_source_ships_next_to_module(self):
         # an installed package builds the kernels from its own copy of the source
         source = _native.SOURCE

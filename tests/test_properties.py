@@ -6,8 +6,10 @@ definition, the shift equivariance, phase equivariance and norm
 conservation of every envelope right-hand side, the CSV and JSON
 round trips of the chain and envelope states, the identity of the direct
 and expanded residuals, the justify family's rho windows, and the compiled
-kernels: the chain's Verlet loop, the envelope stencil and the RK4 step,
-each bit-identical to its numpy reference, and the Verlet loop
+kernels: the chain's Verlet loop, the envelope stencil, the RK4 step, the
+ansatz and the error energy, each bit-identical to its numpy reference, the
+blow-up guard deciding as numpy does, the co-integration giving the same
+bits when the probe of the complex kernels fails, and the Verlet loop
 time-reversible.
 """
 
@@ -16,6 +18,7 @@ import math
 import os
 import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +28,14 @@ from hypothesis.extra import numpy as hnp
 
 from dklab import _native
 from dklab.approximation import (
-    REGIME_EXPONENTS, residual_direct, residual_expanded, window_top
+    REGIME_EXPONENTS,
+    JustificationConfig,
+    error_energy,
+    leading_order,
+    residual_direct,
+    residual_expanded,
+    run_justification,
+    window_top,
 )
 from dklab.cli import parse_and_validate
 from dklab.dnls_models import (
@@ -36,10 +46,12 @@ from dklab.dnls_models import (
     _flow,
     rhs,
 )
-from dklab.errors import RegimeError
+from dklab.errors import BlowUpError, RegimeError
 from dklab.integrators import (
+    BLOWUP_LIMIT,
     _advance_verlet,
     _advance_verlet_numpy,
+    _check_sane,
     _dkg_force,
     _rk4_step,
     _rk4_step_numpy,
@@ -294,3 +306,142 @@ def test_verlet_time_reversible(run):
     _advance_verlet(x, y, f, epsilon, rho, -dt, n_steps)
     assert np.max(np.abs(x - x0)) <= 1e-12
     assert np.max(np.abs(y - y0)) <= 1e-12
+
+
+no_complex_kernels = pytest.mark.skipif(
+    not _native.complex_exact(), reason="no kernels with numpy's complex arithmetic here"
+)
+
+
+@st.composite
+def ansatz_inputs(draw):
+    """An envelope and a right-hand side of 3..81 sites with -0.0 entries,
+    and (rho, eps, t)."""
+    a = draw(raw_envelopes())
+    adot = np.empty_like(a)
+    signed = components | st.sampled_from([0.0, -0.0])
+    adot.real = draw(hnp.arrays(np.float64, len(a), elements=signed))
+    adot.imag = draw(hnp.arrays(np.float64, len(a), elements=signed))
+    rho = draw(st.floats(min_value=0.0, max_value=1.0))
+    eps = draw(st.floats(min_value=0.0, max_value=0.25, exclude_max=True))
+    t = draw(st.floats(min_value=-1e3, max_value=1e3))
+    return a, adot, rho, eps, t
+
+
+@no_complex_kernels
+@given(inputs=ansatz_inputs())
+def test_compiled_leading_order_matches_numpy(inputs):
+    compiled = leading_order(*inputs)
+    with mock.patch.object(_native, "complex_exact", lambda: False):
+        reference = leading_order(*inputs)
+    assert _same_bits(compiled.X, reference.X)
+    assert _same_bits(compiled.Xdot, reference.Xdot)
+
+
+@st.composite
+def error_inputs(draw):
+    """y, ydot and X of 3..81 sites with -0.0 entries, and (eps, rho)."""
+    n = draw(odd_lengths.filter(lambda m: m >= 3))
+    signed = components | st.sampled_from([0.0, -0.0])
+    y, ydot, X = (draw(hnp.arrays(np.float64, n, elements=signed)) for _ in range(3))
+    eps = draw(st.floats(min_value=0.0, max_value=0.25, exclude_max=True))
+    return y, ydot, X, eps, draw(st.floats(min_value=0.0, max_value=1.0))
+
+
+@pytest.mark.skipif(verlet_backend() == "numpy", reason="no compiled kernels here")
+@given(inputs=error_inputs())
+def test_compiled_error_energy_matches_numpy(inputs):
+    compiled = error_energy(*inputs)
+    with mock.patch.object(_native, "kernels", lambda: None):
+        reference = error_energy(*inputs)
+    assert np.array(compiled).tobytes() == np.array(reference).tobytes()
+
+
+_above = np.nextafter(BLOWUP_LIMIT, np.inf)
+_below = np.nextafter(BLOWUP_LIMIT, 0.0)
+GUARD_CASES = [
+    [0.0, BLOWUP_LIMIT, -0.0],
+    [0.0, -BLOWUP_LIMIT, 1.0],
+    [0.0, _above, 1.0],
+    [-_above, 0.0, 1.0],
+    [_below, 0.0, -1.0],
+    [np.nan, 0.0, 1.0],
+    [0.0, 1.0, np.nan],
+    [np.inf, 0.0, 1.0],
+    [0.0, -np.inf, np.nan],
+    [complex(BLOWUP_LIMIT, 0.0), 0j, 1j],
+    [complex(0.0, -_above), 0j, 1j],
+    [complex(6e5, 8e5), 0j, 1j],  # |.| is 1e6 exactly
+    [complex(_below, 1.0), 0j, 1j],
+    [complex(_below, 1e-3), 0j, 1j],
+    [complex(np.nan, 0.0), 0j, 1j],
+    [complex(0.0, np.inf), 0j, complex(np.nan, 1.0)],
+    *([1e6 * np.exp(1j * theta), 0j, 0.5j] for theta in np.linspace(0.0, np.pi, 11)),
+]
+
+
+@pytest.mark.parametrize("values", GUARD_CASES)
+@pytest.mark.parametrize("length", [2, 3, 9])
+def test_blowup_guard_decides_as_numpy(values, length):
+    # _check_sane must refuse exactly what np.max(np.abs(.)) puts beyond
+    # BLOWUP_LIMIT or off the finite range, for float and complex arrays and
+    # on either side of the 3-site minimum of the kernels
+    arr = np.array((values * 3)[:length])
+    m = np.max(np.abs(arr))
+    expected = not np.isfinite(m) or m > BLOWUP_LIMIT
+    try:
+        _check_sane((np.zeros(5), arr), 0.0)
+    except BlowUpError:
+        refused = True
+    else:
+        refused = False
+    assert refused == expected
+
+
+def _gaussian_envelope(n_half=16, amplitude=0.5):
+    j = np.arange(-n_half, n_half + 1)
+    return amplitude * np.exp(-((j / 3.0) ** 2)) * np.exp(0.3j * j)
+
+
+@pytest.mark.parametrize("regime, rho", [("standard", 0.1), ("generalized", 0.01)])
+def test_run_justification_same_bits_when_probe_fails(regime, rho, monkeypatch):
+    # with the probe failing, rhs takes numpy's |a| and the ansatz and the
+    # complex guard run in numpy: the co-integration must not change a bit
+    config = JustificationConfig(epsilon=0.1, rho=rho, regime=regime, tau0=0.05, dt=5e-3,
+                                 sample_stride=10, c0_scale=0.5, seed=4)
+    a0 = _gaussian_envelope()
+    compiled = run_justification(config, a0)
+    monkeypatch.setattr(_native, "complex_exact", lambda: False)
+    reference = run_justification(config, a0)
+    for name in ("times", "error_norm", "Q"):
+        assert _same_bits(getattr(compiled, name), getattr(reference, name))
+
+
+class _OffByOneUlp:
+    """The kernels, with one entry's output moved by one ulp."""
+
+    def __init__(self, kernels, name):
+        self.kernels, self.name = kernels, name
+
+    def __getattr__(self, attr):
+        entry = getattr(self.kernels, attr)
+        if attr != self.name:
+            return entry
+        if attr == "sup_abs":
+            return lambda v, ok: np.nextafter(entry(v, ok), np.inf)
+
+        def nudged(*args):
+            done = entry(*args)
+            out = args[{"absolute": 1, "ansatz": 3}[attr]]
+            out[-1] = np.nextafter(out[-1], np.inf)
+            return done
+
+        return nudged
+
+
+@no_complex_kernels
+@pytest.mark.parametrize("name", ["absolute", "ansatz", "sup_abs"])
+def test_probe_catches_one_ulp(name):
+    kernels = _native.kernels()
+    assert _native.probe(kernels)
+    assert not _native.probe(_OffByOneUlp(kernels, name))

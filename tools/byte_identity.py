@@ -10,12 +10,18 @@ directory, once per tree and per mode:
   kernels are built or loaded as usual;
 - ``no-cc``: ``PATH=/nonexistent`` and a fresh empty ``XDG_CACHE_HOME``, so
   no compiler and no cached extension is found and the numpy paths run.
-  The interpreter is called by its absolute path (``sys.executable``).
+  The interpreter is called by its absolute path (``sys.executable``);
+- ``probe-failed``: as ``compiled``, but the runner first replaces
+  ``dklab._native.complex_exact`` by a function that returns False, as when
+  the probe finds the kernels' complex arithmetic unlike numpy's, so the
+  numpy |a|, ansatz and complex blow-up guard run next to the C kernels.  A
+  tree without that function ignores the replacement.
 
 A run records its stdout, its stderr with the tree path and line numbers
 masked, its exit code, and every file and directory it leaves.  The script
-prints each difference between the trees (same mode) and between the modes
-(same tree) and exits 1 if there is any, else 0.
+prints each difference between the trees (same mode) and between
+``compiled`` and each other mode (same tree) and exits 1 if there is any,
+else 0.
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-MODES = ("compiled", "no-cc")
+MODES = ("compiled", "no-cc", "probe-failed")
 RUNNER = "import sys; from dklab.cli import main; sys.exit(main(sys.argv[1:]))"
+PROBE_FAILED = "from dklab import _native; _native.complex_exact = lambda: False; "
 
 
 def read_commands(path: Path) -> list[str]:
@@ -57,8 +64,9 @@ def run_one(tree: Path, mode: str, argv: list[str], work: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     if mode == "no-cc":
         env.update(PATH="/nonexistent", XDG_CACHE_HOME=str(work.parent / "cache"))
+    runner = PROBE_FAILED + RUNNER if mode == "probe-failed" else RUNNER
     proc = subprocess.run(
-        [sys.executable, "-c", RUNNER, *argv],
+        [sys.executable, "-c", runner, *argv],
         cwd=work, env=env, capture_output=True, text=True, timeout=900,
     )
     return {
@@ -121,8 +129,9 @@ def main(argv=None) -> int:
                 found += [f"{mode}, parent vs change: {d}" for d in differences(
                     runs["parent", mode], runs["change", mode], ("parent", "change"))]
             for side in trees:
-                found += [f"{side}, compiled vs no-cc: {d}" for d in differences(
-                    runs[side, "compiled"], runs[side, "no-cc"], ("compiled", "no-cc"))]
+                for mode in MODES[1:]:
+                    found += [f"{side}, compiled vs {mode}: {d}" for d in differences(
+                        runs[side, "compiled"], runs[side, mode], ("compiled", mode))]
             status = "identical" if not found else f"{len(found)} difference(s)"
             print(f"[{i + 1:2d}/{len(commands)}] exit {runs['change', 'compiled']['exit code']} "
                   f"{status}: {command}", flush=True)
