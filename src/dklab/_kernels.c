@@ -4,14 +4,12 @@
  *       velocity-Verlet steps of the periodic Klein-Gordon chain
  *       x_j'' = eps (x_{j+1} + x_{j-1}) - x_j - rho x_j^3, in place;
  *       the compiled form of dklab.integrators._advance_verlet_numpy.
- *   flow(a, abs_a, out, c0, c1, c2, g)
+ *   flow(a, out, c0, c1, c2, g)
  *       out = -i [c0 a + c1 (a_+ + a_-) + c2 (a_++ + a_--) + g |a|^2 a],
- *       the dNLS stencil of dklab.dnls_models.rhs; abs_a holds |a|, or is
- *       None, and then |a| is computed here.
- *   stage(a, k, out, c)
- *       out = a + c k, an intermediate RK4 stage.
- *   combine(a, k1, k2, k3, k4, out, c)
- *       out = a + c (k1 + 2 k2 + 2 k3 + k4), the RK4 update.
+ *       the dNLS stencil of dklab.dnls_models.rhs.
+ *   rk4(a, out, h, c0, c1, c2, g)
+ *       one classical RK4 step of that stencil, the compiled form of
+ *       dklab.integrators._rk4_step_numpy.
  *   ansatz(a, adot, X, Xdot, e1, e3, rho, eps)
  *       the two-harmonic ansatz X and its t-derivative Xdot of
  *       dklab.approximation.leading_order, with e1 = e^{it}, e3 = e^{3it}.
@@ -33,27 +31,27 @@
  *
  * advance_verlet makes one pass over the ring per step, strip by strip, so
  * each strip's half-kick, drift, force and second half-kick run while it is
- * in L1; its inner loops are written for gcc to vectorise at -O3.  With GCC
- * on x86-64 ELF, verlet() is also built as an AVX2 clone that the dynamic
- * loader picks on CPUs that have AVX2 (target_clones); the library is built
- * without -mavx2, so it runs on any x86-64 CPU.
+ * in L1; its inner loops, and the float sup_abs, are written for gcc to
+ * vectorise at -O3.  With GCC on x86-64 ELF, both are also built as AVX2
+ * clones that the dynamic loader picks on CPUs that have AVX2
+ * (target_clones); the library is built without -mavx2, so it runs on any
+ * x86-64 CPU.
  *
  * Every floating-point operation is the one numpy performs, in the same
  * order, so results agree with numpy bit for bit, signs of zeros included,
  * when built without FMA contraction (-ffp-contract=off) and without
- * -ffast-math; vectorising keeps each site's operations as they are.  numpy
- * multiplies a real scalar or a real array by a complex array by promoting
- * the real factor to s + 0i, so its products carry the 0.0 * im terms that
- * scale() writes out.  Real arithmetic (advance_verlet, energy_density, a
- * float sup_abs) is IEEE arithmetic and needs nothing more.  Complex
- * arithmetic follows what numpy's CPU dispatch runs on x86-64 with FMA:
- * its complex abs is hi sqrt(fma(q, q, 1)) with q = lo/hi, its complex
- * product of arrays is fused (mul()), and a**3 is the unfused product
- * (cube()).  Those depend on the CPU and on the numpy build, so
- * dklab._native compares absolute, ansatz and a complex sup_abs with numpy
- * on a probe vector before any caller uses them, and callers pass numpy's
- * |a| to flow when the probe fails.  fma() comes from libm (-lm), which
- * rounds it once on every CPU.  Nothing here writes to stdout or stderr.
+ * -ffast-math; vectorising keeps each site's operations as they are.  Real
+ * arithmetic (advance_verlet, energy_density, a float sup_abs) is IEEE
+ * arithmetic and needs nothing more.  Complex arithmetic follows what
+ * numpy's CPU dispatch runs on x86-64 with FMA: its complex abs is
+ * hi sqrt(fma(q, q, 1)) with q = lo/hi, its complex products are fused
+ * (mul()), those by a real scalar or array too, which numpy promotes to
+ * s + 0i (scale()), and a**3 is the unfused product (cube()).  Those depend
+ * on the CPU and on the numpy build, so dklab._native compares every
+ * complex entry point with numpy on a probe vector before any caller uses
+ * one, and callers run numpy when the probe fails.  fma() comes from libm
+ * (-lm), which rounds it once on every CPU.  Nothing here writes to stdout
+ * or stderr.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -62,11 +60,11 @@
 #include <stdint.h>
 #include <string.h>
 
-/* The AVX2 clone of verlet() and the FMA clones of the complex loops are
- * picked by the dynamic loader (an ifunc) on the CPU that runs them, so the
- * built library suits every x86-64 machine.  An FMA clone computes fma()
- * in one instruction where the plain loop calls libm's, which rounds the
- * same.  Other compilers and platforms build the plain loops. */
+/* The AVX2 clones of verlet() and largest_abs() and the FMA clones of the
+ * complex loops are picked by the dynamic loader (an ifunc) on the CPU that
+ * runs them, so the library suits every x86-64 machine.  An FMA clone
+ * computes fma() in one instruction where the plain loop calls libm's, which
+ * rounds the same.  Other compilers and platforms build the plain loops. */
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__ELF__)
 #define CLONES(isa) __attribute__((target_clones(isa, "default")))
 #endif
@@ -85,22 +83,6 @@ add(cplx u, cplx v)
     return r;
 }
 
-/* numpy's (s + 0i) * v */
-static inline cplx
-scale(double s, cplx v)
-{
-    cplx r = {s * v.re - 0.0 * v.im, s * v.im + 0.0 * v.re};
-    return r;
-}
-
-/* numpy's -1j * v, where -1j is (-0.0, -1.0) */
-static inline cplx
-times_minus_i(cplx v)
-{
-    cplx r = {-0.0 * v.re - -1.0 * v.im, -0.0 * v.im + -1.0 * v.re};
-    return r;
-}
-
 /* numpy's u * v of complex arrays, or of a complex array and a complex
  * scalar: its SIMD loop fuses each part's second product into the first */
 static inline cplx
@@ -108,6 +90,14 @@ mul(cplx u, cplx v)
 {
     cplx r = {fma(u.re, v.re, -(u.im * v.im)), fma(u.re, v.im, u.im * v.re)};
     return r;
+}
+
+/* numpy's s * v for a real scalar or array s, which it promotes to s + 0i */
+static inline cplx
+scale(double s, cplx v)
+{
+    const cplx u = {s, 0.0};
+    return mul(u, v);
 }
 
 /* numpy's a**3: the unfused products a (a a), and +0 + 0i for a zero a */
@@ -340,105 +330,102 @@ advance_verlet(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
     Py_RETURN_TRUE;
 }
 
-/* -- dNLS stencil and RK4 stages ----------------------------------------- */
+/* -- dNLS stencil and RK4 step ------------------------------------------- */
 
-/* The loop of flow; abs_a is NULL when |a| is to be computed here. */
+/* The loop of flow, and each stage of rk4. */
 static CLONES("fma") void
-stencil(const cplx *a, const double *abs_a, cplx *out, Py_ssize_t n,
-        double c0, double c1, double c2, double g)
+stencil(const cplx *a, cplx *out, Py_ssize_t n, const double *c)
 {
+    const cplx minus_i = {-0.0, -1.0}; /* numpy's -1j */
+
     for (Py_ssize_t j = 0; j < n; j++) {
         /* neighbor_sum(a, k) is a[j+k] + a[j-k] on the ring */
         Py_ssize_t up = j + 1 < n ? j + 1 : j + 1 - n;
         Py_ssize_t dn = j >= 1 ? j - 1 : j - 1 + n;
-        cplx grad = scale(c1, add(a[up], a[dn]));
-        double m = abs_a != NULL ? abs_a[j] : magnitude(a[j]);
+        cplx grad = scale(c[1], add(a[up], a[dn]));
+        double m = magnitude(a[j]);
 
         /* numpy's _flow skips the c0 and c2 terms when they are zero */
-        if (c0 != 0.0)
-            grad = add(grad, scale(c0, a[j]));
-        if (c2 != 0.0) {
+        if (c[0] != 0.0)
+            grad = add(grad, scale(c[0], a[j]));
+        if (c[2] != 0.0) {
             up = j + 2 < n ? j + 2 : j + 2 - n;
             dn = j >= 2 ? j - 2 : j - 2 + n;
-            grad = add(grad, scale(c2, add(a[up], a[dn])));
+            grad = add(grad, scale(c[2], add(a[up], a[dn])));
         }
         /* g * |a|**2 is a real array, promoted to complex to multiply a */
-        grad = add(grad, scale(g * (m * m), a[j]));
-        out[j] = times_minus_i(grad);
+        grad = add(grad, scale(c[3] * (m * m), a[j]));
+        out[j] = mul(minus_i, grad);
     }
 }
 
 static PyObject *
 flow(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    static const char *const formats[] = {"Zd", "wZd", "d"};
+    static const char *const formats[] = {"Zd", "wZd"};
     Py_buffer v[MAX_ARRAYS];
     double c[4];
     int got;
 
-    if (arity(nargs, 7, "flow") < 0 || doubles(args + 3, 4, c) < 0)
+    if (arity(nargs, 6, "flow") < 0 || doubles(args + 2, 4, c) < 0)
         return NULL;
-    /* a, out and, unless it is None, abs_a */
-    PyObject *const arrays[] = {args[0], args[2], args[1]};
-    const int count = args[1] == Py_None ? 2 : 3;
-
-    got = vectors(arrays, count, formats, v);
+    got = vectors(args, 2, formats, v);
     if (got <= 0)
         return declined(got);
 
-    stencil(v[0].buf, count == 3 ? v[2].buf : NULL, v[1].buf, v[0].shape[0],
-            c[0], c[1], c[2], c[3]);
-    release(v, count);
+    stencil(v[0].buf, v[1].buf, v[0].shape[0], c);
+    release(v, 2);
     Py_RETURN_TRUE;
 }
 
-static PyObject *
-stage(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+/* numpy: k1 = f(a), k2 = f(a + (0.5*h)*k1), k3 = f(a + (0.5*h)*k2),
+ * k4 = f(a + h*k3), out = a + (h/6.0)*(k1 + 2.0*k2 + 2.0*k3 + k4).  out
+ * holds the running sum of the k's, s a stage and k its stencil. */
+static CLONES("fma") void
+rk4_step(const cplx *a, cplx *out, cplx *s, cplx *k, Py_ssize_t n, double h,
+         const double *c)
 {
-    static const char *const formats[] = {"Zd", "Zd", "wZd"};
-    Py_buffer v[MAX_ARRAYS];
-    double c;
-    int got;
+    const double half = 0.5 * h, sixth = h / 6.0;
 
-    if (arity(nargs, 4, "stage") < 0 || doubles(args + 3, 1, &c) < 0)
-        return NULL;
-    got = vectors(args, 3, formats, v);
-    if (got <= 0)
-        return declined(got);
-
-    const cplx *a = v[0].buf, *k = v[1].buf;
-    cplx *out = v[2].buf;
-
-    for (Py_ssize_t j = 0; j < v[0].shape[0]; j++)
-        out[j] = add(a[j], scale(c, k[j]));
-    release(v, 3);
-    Py_RETURN_TRUE;
-}
-
-static PyObject *
-combine(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    static const char *const formats[] = {"Zd", "Zd", "Zd", "Zd", "Zd", "wZd"};
-    Py_buffer v[MAX_ARRAYS];
-    double c;
-    int got;
-
-    if (arity(nargs, 7, "combine") < 0 || doubles(args + 6, 1, &c) < 0)
-        return NULL;
-    got = vectors(args, 6, formats, v);
-    if (got <= 0)
-        return declined(got);
-
-    const cplx *a = v[0].buf, *k1 = v[1].buf, *k2 = v[2].buf;
-    const cplx *k3 = v[3].buf, *k4 = v[4].buf;
-    cplx *out = v[5].buf;
-
-    for (Py_ssize_t j = 0; j < v[0].shape[0]; j++) {
-        /* numpy: a + c * (((k1 + 2.0*k2) + 2.0*k3) + k4) */
-        cplx s = add(add(add(k1[j], scale(2.0, k2[j])), scale(2.0, k3[j])), k4[j]);
-        out[j] = add(a[j], scale(c, s));
+    stencil(a, out, n, c);
+    for (Py_ssize_t j = 0; j < n; j++)
+        s[j] = add(a[j], scale(half, out[j]));
+    for (int stage = 2; stage <= 3; stage++) {
+        stencil(s, k, n, c);
+        for (Py_ssize_t j = 0; j < n; j++) {
+            out[j] = add(out[j], scale(2.0, k[j]));
+            s[j] = add(a[j], scale(stage == 2 ? half : h, k[j]));
+        }
     }
-    release(v, 6);
+    stencil(s, k, n, c);
+    for (Py_ssize_t j = 0; j < n; j++)
+        out[j] = add(a[j], scale(sixth, add(out[j], k[j])));
+}
+
+static PyObject *
+rk4(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char *const formats[] = {"Zd", "wZd"};
+    Py_buffer v[MAX_ARRAYS];
+    double p[5];
+    int got;
+
+    if (arity(nargs, 7, "rk4") < 0 || doubles(args + 2, 5, p) < 0)
+        return NULL;
+    got = vectors(args, 2, formats, v);
+    if (got <= 0)
+        return declined(got);
+
+    const Py_ssize_t n = v[0].shape[0];
+    cplx *scratch = PyMem_New(cplx, 2 * n);
+
+    if (scratch == NULL) {
+        release(v, 2);
+        return PyErr_NoMemory();
+    }
+    rk4_step(v[0].buf, v[1].buf, scratch, scratch + n, n, p[0], p + 1);
+    PyMem_Free(scratch);
+    release(v, 2);
     Py_RETURN_TRUE;
 }
 
@@ -544,18 +531,44 @@ magnitudes(const cplx *a, double *out, Py_ssize_t n)
         out[j] = magnitude(a[j]);
 }
 
+/* The larger of m and v, or NaN when either is NaN, as np.max takes it;
+ * written without branches, so that a loop of it vectorises. */
+static inline double
+widest(double m, double v)
+{
+    return !(v <= m) & (m == m) ? v : m;
+}
+
 /* np.max(np.abs(a)): NaN as soon as one |a_j| is NaN */
 static CLONES("fma") double
 largest_magnitude(const cplx *a, Py_ssize_t n)
 {
     double m = 0.0;
 
-    for (Py_ssize_t j = 0; j < n && !isnan(m); j++) {
-        double r = magnitude(a[j]);
-
-        m = isnan(r) || r > m ? r : m;
-    }
+    for (Py_ssize_t j = 0; j < n && !isnan(m); j++)
+        m = widest(m, magnitude(a[j]));
     return m;
+}
+
+/* np.max(np.abs(x)) of a float vector.  Each of the LANES running maxima
+ * turns NaN at its first NaN and stays NaN, so gcc vectorises the loop; a
+ * maximum does not depend on the order it is taken in. */
+#define LANES 8
+
+static CLONES("avx2") double
+largest_abs(const double *x, Py_ssize_t n)
+{
+    double m[LANES] = {0.0};
+    Py_ssize_t j = 0;
+
+    for (; j + LANES <= n; j += LANES)
+        for (int l = 0; l < LANES; l++)
+            m[l] = widest(m[l], fabs(x[j + l]));
+    for (; j < n; j++)
+        m[0] = widest(m[0], fabs(x[j]));
+    for (int l = 1; l < LANES; l++)
+        m[0] = widest(m[0], m[l]);
+    return m[0];
 }
 
 static PyObject *
@@ -587,13 +600,8 @@ sup_abs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     if (arity(nargs, 2, "sup_abs") < 0 || (complex_ok = PyObject_IsTrue(args[1])) < 0)
         return NULL;
     got = vectors(args, 1, real_format, v);
-    if (got == 1) {
-        const double *x = v[0].buf;
-
-        /* np.max propagates NaN */
-        for (Py_ssize_t j = 0; j < v[0].shape[0] && !isnan(m); j++)
-            m = isnan(x[j]) || fabs(x[j]) > m ? fabs(x[j]) : m;
-    }
+    if (got == 1)
+        m = largest_abs(v[0].buf, v[0].shape[0]);
     else if (got == 0 && complex_ok && (got = vectors(args, 1, complex_format, v)) == 1)
         m = largest_magnitude(v[0].buf, v[0].shape[0]);
     if (got < 0)
@@ -610,11 +618,9 @@ static PyMethodDef methods[] = {
     {"advance_verlet", (PyCFunction)(void (*)(void))advance_verlet, METH_FASTCALL,
      "advance_verlet(x, y, f, eps, rho, dt, n_steps) -> bool"},
     {"flow", (PyCFunction)(void (*)(void))flow, METH_FASTCALL,
-     "flow(a, abs_a, out, c0, c1, c2, g) -> bool"},
-    {"stage", (PyCFunction)(void (*)(void))stage, METH_FASTCALL,
-     "stage(a, k, out, c) -> bool"},
-    {"combine", (PyCFunction)(void (*)(void))combine, METH_FASTCALL,
-     "combine(a, k1, k2, k3, k4, out, c) -> bool"},
+     "flow(a, out, c0, c1, c2, g) -> bool"},
+    {"rk4", (PyCFunction)(void (*)(void))rk4, METH_FASTCALL,
+     "rk4(a, out, h, c0, c1, c2, g) -> bool"},
     {"ansatz", (PyCFunction)(void (*)(void))ansatz, METH_FASTCALL,
      "ansatz(a, adot, X, Xdot, e1, e3, rho, eps) -> bool"},
     {"energy_density", (PyCFunction)(void (*)(void))energy_density, METH_FASTCALL,
@@ -629,7 +635,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef kernels_module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "dklab._kernels",
-    .m_doc = "Compiled Verlet loop, dNLS stencil, RK4 stages, ansatz and "
+    .m_doc = "Compiled Verlet loop, dNLS stencil, RK4 step, ansatz and "
               "error energy of dklab.",
     .m_size = -1,
     .m_methods = methods,

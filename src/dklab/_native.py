@@ -8,9 +8,9 @@ rounds once on every CPU, into ``$XDG_CACHE_HOME/dklab/`` (default
 ``~/.cache/dklab/``).  Its file name carries a hash of the source, the
 flags, the machine type and the interpreter's extension suffix, so a changed
 source or another interpreter builds its own library.  The flags name no
-instruction set: with GCC on x86-64 the Verlet loop carries an AVX2 clone
-that the dynamic loader selects on the CPU that loads the library, so one
-library per machine type is safe.  The compiler writes a temporary file that
+instruction set: with GCC on x86-64 the loops carry AVX2 or FMA clones that
+the dynamic loader selects on the CPU that loads the library, so one library
+per machine type is safe.  The compiler writes a temporary file that
 is then renamed into place, so a process never loads a library another
 process is still writing.  Nothing is printed: the compiler's output is
 captured.
@@ -21,12 +21,12 @@ numpy form instead; no option or environment variable selects the path.
 
 Real arithmetic in the kernels is numpy's by construction.  Complex
 arithmetic is numpy's only where numpy's CPU dispatch computes |a| as
-hi sqrt(fma(q, q, 1)) and fuses its complex products, as on x86-64 with
-FMA.  So :func:`complex_exact` runs :func:`probe` once per process, on the
-first kernel use that needs it, never at import: it compares the kernels'
-``absolute``, ``ansatz`` and complex ``sup_abs`` with numpy on a fixed
-finite vector.  When they differ, callers pass numpy's |a| to ``flow`` and
-run the numpy forms of the ansatz and of the complex blow-up guard.
+hi sqrt(fma(q, q, 1)) and fuses its complex products (by a promoted real
+factor too), as on x86-64 with FMA.  So :func:`complex_exact` runs
+:func:`probe` once per process, on the first kernel use that needs it, never
+at import; it compares every complex kernel with numpy on a fixed vector.
+When they differ, callers run the numpy forms of ``rhs``, of the RK4 step,
+of the ansatz and of the complex blow-up guard.
 """
 
 from __future__ import annotations
@@ -52,23 +52,25 @@ def kernels():
 
 @functools.cache
 def complex_exact() -> bool:
-    """True when this process's kernels compute numpy's complex abs, ansatz
-    and complex ``sup_abs`` bit for bit, as :func:`probe` finds on its first
-    call; False without kernels."""
+    """True when this process's kernels compute numpy's complex arithmetic
+    bit for bit, as :func:`probe` finds on its first call; False without
+    kernels."""
     module = kernels()
     return module is not None and probe(module)
 
 
 def probe(module) -> bool:
-    """Compare the complex arithmetic of the kernels ``module`` with numpy's,
-    bit for bit, on every pair of parts from +-0.0, subnormals, +-1e+-100
-    and a few plain values, followed by 64 entries of scattered signs,
-    mantissas and magnitudes."""
+    """Compare the complex kernels of ``module`` with numpy, bit for bit, on
+    every pair of parts from +-0.0, subnormals, +-1e+-100 and a few plain
+    values, followed by 64 entries of scattered signs, mantissas and
+    magnitudes; ``rk4`` steps the entries below 1e50, whose stages stay finite."""
     import numpy as np
 
-    # the numpy reference of the ansatz; imported here, as approximation
-    # imports the modules that import this one
+    # the numpy references; imported here, as approximation imports the
+    # modules that import this one
     from .approximation import _ansatz_numpy
+    from .dnls_models import NormalFormDnls, _rhs_numpy
+    from .integrators import _rk4_step_numpy
 
     parts = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-100, -1e-100,
              1e100, -1e100, 1.0, -0.5, 3.0]
@@ -80,13 +82,16 @@ def probe(module) -> bool:
     a.real = [p for p in parts for _ in parts] + scattered[:64]
     a.imag = parts * len(parts) + scattered[64:]
     adot = a[::-1].copy()
-    rho, eps, t = 0.3, 0.07, 1.7
+    ring = a[np.maximum(abs(a.real), abs(a.imag)) < 1e50]
+    rho, eps, t, h = 0.3, 0.07, 1.7, 0.05
     e1, e3 = complex(np.exp(1j * t)), complex(np.exp(3j * t))
+    model = NormalFormDnls(1.2, -0.3, -0.05)  # c0, c1, c2 and g all nonzero
 
     def same(u, v):
         return u.dtype == v.dtype and u.tobytes() == v.tobytes()
 
-    magnitude, x, xdot = np.empty(len(a)), np.empty(len(a)), np.empty(len(a))
+    magnitude, x, xdot = np.empty((3, len(a)))
+    k, step = np.empty(len(a), complex), np.empty(len(ring), complex)
     return (
         module.absolute(a, magnitude)
         and same(magnitude, np.abs(a))
@@ -94,6 +99,10 @@ def probe(module) -> bool:
         and all(map(same, (x, xdot), _ansatz_numpy(a, adot, e1, e3, rho, eps)))
         and all(module.sup_abs(a[i:i + 4], True) == np.max(np.abs(a[i:i + 4]))
                 for i in range(0, len(a), 4))
+        and module.flow(a, k, *model.coefficients)
+        and same(k, _rhs_numpy(model, a))
+        and module.rk4(ring, step, h, *model.coefficients)
+        and same(step, _rk4_step_numpy(ring, model, h))
     )
 
 

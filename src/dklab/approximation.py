@@ -500,7 +500,6 @@ def run_justification(config: JustificationConfig, a0: np.ndarray) -> Justificat
 
     _check_sane((x, y, a), 0.0, initial=True)
     f = _dkg_force(x, eps, rho)
-    fun = lambda z: rhs(model, z)  # noqa: E731
 
     def advance(k: int) -> tuple:
         nonlocal a
@@ -509,7 +508,7 @@ def run_justification(config: JustificationConfig, a0: np.ndarray) -> Justificat
         m_sub = max(1, int(math.ceil(dtau / ENVELOPE_SUBSTEP)))
         h = dtau / m_sub
         for _ in range(m_sub):
-            a = _rk4_step(a, fun, h)
+            a = _rk4_step(a, model, h)
         return x, y, a
 
     def sample(t: float):

@@ -18,14 +18,14 @@ reduction with nu = rho/eps resp. delta = rho/eps^2; the fast-clock model
 is the flow of the truncated resonant normal form (see
 :mod:`dklab.normal_form`).
 
-``rhs`` runs the stencil as the compiled kernel ``flow`` of the extension
-``dklab._kernels`` (built and loaded by :mod:`dklab._native`) when it is
-available and ``a`` is a contiguous complex128 vector of 3 or more sites;
-otherwise, and for ``second_derivative``, it runs the numpy ``_flow``.  Both
-perform the same operations in the same order, so they agree bit for bit.
-``flow`` computes |a| itself when :func:`dklab._native.complex_exact` has
-found the kernels' complex abs equal to numpy's in this process, and takes
-numpy's |a| otherwise.  Each model computes its ``coefficients`` once.
+``rhs`` runs the stencil, |a| included, as the compiled kernel ``flow`` of
+the extension ``dklab._kernels`` (built and loaded by :mod:`dklab._native`)
+when :func:`dklab._native.complex_exact` has found the kernels' complex
+arithmetic equal to numpy's in this process and ``a`` is a contiguous
+complex128 vector of 3 or more sites; otherwise, and for
+``second_derivative``, it runs the numpy ``_flow``.  Both perform the same
+operations in the same order, so they agree bit for bit.  Each model
+computes its ``coefficients`` once.
 
 Every right-hand side conserves the squared l2 norm of the envelope, is
 equivariant under cyclic shifts, and is invariant under global phase
@@ -235,19 +235,21 @@ def rhs(model: DnlsModel, a: np.ndarray) -> np.ndarray:
     """a' = -i [c0 a + c1 (a_+ + a_-) + c2 (a_++ + a_--) + g |a|^2 a] with
     the model's coefficients.
 
-    Runs the compiled stencil ``flow`` of ``dklab._kernels`` on contiguous
-    complex128 vectors of 3 or more sites, else ``_flow``; both give
-    bit-identical results.  ``flow`` computes |a| itself when
-    ``_native.complex_exact()`` holds, and takes numpy's otherwise.
+    Runs the compiled ``flow`` when ``_native.complex_exact()`` holds and
+    ``a`` is a contiguous complex128 vector of 3 or more sites, else
+    ``_rhs_numpy``; both give bit-identical results.
     """
-    coefficients = model.coefficients
-    kernels = _native.kernels()
-    if kernels is not None:
+    if _native.complex_exact():
         out = np.empty(len(a), complex)
-        abs_a = None if _native.complex_exact() else np.abs(a)
-        if kernels.flow(a, abs_a, out, *coefficients):
+        if _native.kernels().flow(a, out, *model.coefficients):
             return out
-    return _flow(coefficients, a, coefficients[3] * np.abs(a) ** 2 * a)
+    return _rhs_numpy(model, a)
+
+
+def _rhs_numpy(model: DnlsModel, a: np.ndarray) -> np.ndarray:
+    """The numpy form of ``rhs``, which the compiled ``flow`` must match."""
+    c = model.coefficients
+    return _flow(c, a, c[3] * np.abs(a) ** 2 * a)
 
 
 def rhs_standard(a: np.ndarray, nu: float) -> np.ndarray:

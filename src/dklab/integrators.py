@@ -27,23 +27,21 @@ sample that trips the guard always means the discretisation failed.
 Times in a trajectory are in the model's own clock: fast time for the chain
 and the normal-form envelope, slow time for the multiscale envelopes.
 
-The chain's step loop ``_advance_verlet``, the stage arithmetic of the
-envelope step ``_rk4_step`` and the blow-up guard run compiled kernels of the
-extension ``dklab._kernels``, which :mod:`dklab._native` builds from
-``_kernels.c`` on first use (never at import); ``dnls_models.rhs``, which
-``_rk4_step`` calls four times per step, runs its stencil there too. The
-Verlet kernel makes one pass over the ring per step, strip by strip, in loops
-that gcc vectorises at ``-O3``, with an AVX2 clone picked at load time on
-x86-64. The kernels perform numpy's operations in the same order, so their
-results are bit-identical to ``_advance_verlet_numpy`` and
-``_rk4_step_numpy``, which stay as the references. The guard's ``sup_abs``
-returns np.max(np.abs(arr)) of a float64 vector, and of a complex128 one
-when :func:`dklab._native.complex_exact` has found the kernels' complex abs
-equal to numpy's. When there is no compiler, no Python headers, no writable
-cache, the extension does not import, or the arrays are not equal-length,
-contiguous, native float64 (chain) or complex128 (envelope) vectors of 3 or
-more sites, the numpy forms run instead, silently. :func:`verlet_backend`
-reports which of the two the process uses.
+The chain's step loop ``_advance_verlet``, the envelope step ``_rk4_step``
+(one call per step for the four stencils of ``dnls_models.rhs`` and the
+stages) and the blow-up guard run compiled kernels of the extension
+``dklab._kernels``, which :mod:`dklab._native` builds from ``_kernels.c`` on
+first use (never at import). The Verlet kernel makes one pass over the ring
+per step, strip by strip, in loops that gcc vectorises, with an AVX2 clone
+picked at load time on x86-64. The kernels perform numpy's operations in the
+same order, so they are bit-identical to ``_advance_verlet_numpy``,
+``_rk4_step_numpy`` and np.max(np.abs(arr)). The complex ones (the RK4 step,
+an envelope's guard) run only when :func:`dklab._native.complex_exact` has
+found their arithmetic equal to numpy's. Without that, without the
+extension, or when the arrays are not equal-length, contiguous, native
+float64 (chain) or complex128 (envelope) vectors of 3 or more sites, the
+numpy forms run instead, silently. :func:`verlet_backend` reports whether
+the process has the kernels.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ import numpy as np
 
 from . import _native
 from .errors import BlowUpError
-from .dnls_models import DnlsModel, EnvelopeState, rhs
+from .dnls_models import DnlsModel, EnvelopeState, _rhs_numpy
 from .lattice_core import LatticeState, ModelParams, neighbor_sum, write_csv
 
 __all__ = [
@@ -154,9 +152,9 @@ def _dkg_force(x: np.ndarray, epsilon: float, rho: float) -> np.ndarray:
 
 def verlet_backend() -> str:
     """``"compiled"`` when this process runs the compiled kernels of
-    ``dklab._kernels`` (``_advance_verlet``, ``rhs``, ``_rk4_step``),
-    ``"numpy"`` when it falls back to their numpy forms.  Builds the
-    extension if it is not built yet."""
+    ``dklab._kernels`` (``_advance_verlet`` always, ``rhs`` and ``_rk4_step``
+    when ``_native.complex_exact()`` holds), ``"numpy"`` when it falls back
+    to their numpy forms.  Builds the extension if it is not built yet."""
     return "numpy" if _native.kernels() is None else "compiled"
 
 
@@ -218,40 +216,27 @@ def _advance_verlet_numpy(
         y += half * f
 
 
-def _rk4_step(a: np.ndarray, fun, h: float) -> np.ndarray:
-    """One classical RK4 step of a' = fun(a); ``fun`` is called four times.
+def _rk4_step(a: np.ndarray, model: DnlsModel, h: float) -> np.ndarray:
+    """One classical RK4 step of the model's envelope flow a' = rhs(model, a).
 
-    The stage arithmetic runs in the compiled ``stage``/``combine`` on
-    contiguous complex128 vectors of 3 or more sites, else in numpy as in
+    Runs the compiled ``rk4`` when ``_native.complex_exact()`` holds and
+    ``a`` is a contiguous complex128 vector of 3 or more sites, else
     ``_rk4_step_numpy``; both give bit-identical results.
     """
-    kernels = _native.kernels()
-    if kernels is None:
-        return _rk4_step_numpy(a, fun, h)
-    k1 = fun(a)
-    k2 = fun(_rk4_stage(kernels, a, k1, 0.5 * h))
-    k3 = fun(_rk4_stage(kernels, a, k2, 0.5 * h))
-    k4 = fun(_rk4_stage(kernels, a, k3, h))
-    out = np.empty(np.shape(a), complex)
-    if kernels.combine(a, k1, k2, k3, k4, out, h / 6.0):
-        return out
-    return a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if _native.complex_exact():
+        out = np.empty(len(a), complex)
+        if _native.kernels().rk4(a, out, h, *model.coefficients):
+            return out
+    return _rk4_step_numpy(a, model, h)
 
 
-def _rk4_stage(kernels, a: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
-    out = np.empty(np.shape(a), complex)
-    if kernels.stage(a, k, out, c):
-        return out
-    return a + c * k
-
-
-def _rk4_step_numpy(a: np.ndarray, fun, h: float) -> np.ndarray:
-    """The numpy form of ``_rk4_step``, and the reference its compiled stage
-    arithmetic must match bit for bit."""
-    k1 = fun(a)
-    k2 = fun(a + (0.5 * h) * k1)
-    k3 = fun(a + (0.5 * h) * k2)
-    k4 = fun(a + h * k3)
+def _rk4_step_numpy(a: np.ndarray, model: DnlsModel, h: float) -> np.ndarray:
+    """The numpy form of ``_rk4_step``, and the reference the compiled
+    ``rk4`` must match bit for bit."""
+    k1 = _rhs_numpy(model, a)
+    k2 = _rhs_numpy(model, a + (0.5 * h) * k1)
+    k3 = _rhs_numpy(model, a + (0.5 * h) * k2)
+    k4 = _rhs_numpy(model, a + h * k3)
     return a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -274,7 +259,7 @@ def step_dkg_verlet(state: LatticeState, params: ModelParams, dt: float) -> Latt
 
 def step_envelope_rk4(env: EnvelopeState, model: DnlsModel, dt: float) -> EnvelopeState:
     """One classical fourth-order step of the model's envelope flow."""
-    a = _rk4_step(env.a, lambda z: rhs(model, z), dt)
+    a = _rk4_step(env.a, model, dt)
     return EnvelopeState(a, env.tau + dt)
 
 
@@ -349,12 +334,11 @@ def integrate(
         make, t0, clock = EnvelopeState, state0.tau, system.clock
         a = state0.a.copy()
         _check_sane((a,), t0, initial=True)
-        fun = lambda z: rhs(system, z)  # noqa: E731
 
         def advance(k: int) -> tuple:
             nonlocal a
             for _ in range(k):
-                a = _rk4_step(a, fun, dt)
+                a = _rk4_step(a, system, dt)
             return (a,)
 
     else:

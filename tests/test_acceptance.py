@@ -107,12 +107,11 @@ def test_02_residual_scaling(soliton32):
         for eps in EPS_SWEEP:
             rho = window_top(regime, eps)
             model = envelope_model(regime, eps, rho)
-            fun = lambda z: rhs(model, z)  # noqa: E731
             a = a0.copy()
             dtau = 1e-3
             sup = 0.0
             for i in range(10000):  # tau in (0, 10]  <=>  t in (0, 10/eps]
-                a = _rk4_step(a, fun, dtau)
+                a = _rk4_step(a, model, dtau)
                 if (i + 1) % 10 == 0:
                     t = (i + 1) * dtau / eps
                     sup = max(sup, float(np.linalg.norm(residual_direct(a, regime, eps, rho, t))))
@@ -203,11 +202,10 @@ def test_06_conservation_suite(soliton64):
     # envelope norm drift over tau = 10
     a = soliton64.A.astype(complex)
     model = StandardDnls(1.0)
-    fun = lambda z: rhs(model, z)  # noqa: E731
     n0 = float(np.sum(np.abs(a) ** 2))
     dnls_drift = 0.0
     for i in range(10000):
-        a = _rk4_step(a, fun, 1e-3)
+        a = _rk4_step(a, model, 1e-3)
         if (i + 1) % 100 == 0:
             dnls_drift = max(dnls_drift, abs(float(np.sum(np.abs(a) ** 2)) - n0) / n0)
 
@@ -218,10 +216,9 @@ def test_06_conservation_suite(soliton64):
     psi = 0.3 * (rng.standard_normal(33) + 1j * rng.standard_normal(33))
     k0 = keff_energy(psi, coeffs, order=2)
     h0 = h_omega(psi, coeffs.Omega)
-    fun_nf = lambda z: rhs(nf, z)  # noqa: E731
     keff_drift = homega_drift = 0.0
     for i in range(10000):
-        psi = _rk4_step(psi, fun_nf, 1e-3)
+        psi = _rk4_step(psi, nf, 1e-3)
         if (i + 1) % 100 == 0:
             keff_drift = max(keff_drift, abs(keff_energy(psi, coeffs, order=2) - k0) / abs(k0))
             homega_drift = max(homega_drift, abs(h_omega(psi, coeffs.Omega) - h0) / abs(h0))
@@ -409,9 +406,8 @@ def test_11_gradient_consistency():
     for model in (StandardDnls(1.0), GeneralizedDnls(1.0, 0.1),
                   NormalFormDnls(coeffs.Omega, float(coeffs.b[0]))):
         a = 0.5 * (saved.standard_normal(33) + 1j * saved.standard_normal(33))
-        fun = lambda z: rhs(model, z)  # noqa: E731
         hh = 1e-5
-        fd2 = (rhs(model, _rk4_step(a.copy(), fun, hh)) - rhs(model, _rk4_step(a.copy(), fun, -hh))) / (2 * hh)
+        fd2 = (rhs(model, _rk4_step(a.copy(), model, hh)) - rhs(model, _rk4_step(a.copy(), model, -hh))) / (2 * hh)
         exact = second_derivative(a, model)
         worst_second = max(
             worst_second, float(np.max(np.abs(fd2 - exact)) / max(1.0, np.max(np.abs(exact))))

@@ -183,7 +183,7 @@ class TestErrorEnergy:
                 res = residual_direct(a, "standard", eps, rho, t)
                 rate_mid = error_energy_rate(yerr, yderr, ans.X, ans.Xdot, res, rho)
             _advance_verlet(x, ydot, f, eps, rho, dt, 1)
-            a = _rk4_step(a, fun, eps * dt)
+            a = _rk4_step(a, model, eps * dt)
         fd = (energies[2] - energies[0]) / (2.0 * dt)
         assert rate_mid == pytest.approx(fd, rel=5e-4)
 
@@ -222,7 +222,7 @@ class TestErrorEnergy:
                 nx, nxd = l2_norm(ans.X), l2_norm(ans.Xdot)
                 mid = res_norm + 6 * rho * q * nx * nxd + 12 * rho * q**2 * nx + 8 * rho * q**3
             _advance_verlet(x, ydot, f, eps, rho, dt, 1)
-            a = _rk4_step(a, fun, eps * dt)
+            a = _rk4_step(a, model, eps * dt)
         dq_fd = abs(qs[2] - qs[0]) / (2.0 * dt)
         assert dq_fd <= mid * (1.0 + 1e-3) + 1e-12
 

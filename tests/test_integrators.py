@@ -182,14 +182,13 @@ class TestVerletKernel:
 
     @pytest.mark.parametrize("layout", ["strided", "big-endian", "complex64"])
     def test_unsuitable_envelopes_take_numpy_path(self, layout, monkeypatch):
-        # rhs and the RK4 stages take only contiguous native complex128 vectors
+        # rhs and the RK4 step take only contiguous native complex128 vectors
         rng = np.random.default_rng(10)
         a = prepare(layout, 0.5 * (rng.standard_normal(33) + 1j * rng.standard_normal(33)))
         model = GeneralizedDnls(0.7, 0.1)
         c = model.coefficients
         want_rhs = dnls_models._flow(c, a, c[3] * np.abs(a) ** 2 * a)
-        fun = lambda z: dnls_models.rhs(model, z)  # noqa: E731
-        want_step = integrators._rk4_step_numpy(a, fun, 1e-2)
+        want_step = integrators._rk4_step_numpy(a, model, 1e-2)
 
         calls = []
         numpy_flow = dnls_models._flow
@@ -198,7 +197,7 @@ class TestVerletKernel:
         )
         got_rhs = dnls_models.rhs(model, a)
         assert calls == [1]
-        got_step = integrators._rk4_step(a, fun, 1e-2)
+        got_step = integrators._rk4_step(a, model, 1e-2)
         for got, want in ((got_rhs, want_rhs), (got_step, want_step)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
@@ -231,7 +230,7 @@ class TestVerletKernel:
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "built"))
         built = _native.kernels.__wrapped__()  # bypass the per-process cache
         assert built is not None
-        assert {"advance_verlet", "flow", "stage", "combine"} <= set(vars(built))
+        assert {"advance_verlet", "flow", "rk4"} <= set(vars(built))
         (name,) = (p.name for p in (tmp_path / "built" / "dklab").iterdir())
         assert name.startswith("_kernels-")
         assert name.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
@@ -319,6 +318,7 @@ class TestVerletKernel:
         # with FMA the loader picks the complex loops' FMA clones, which
         # compute fma() in one instruction; a build without the clones
         # calls libm's fma, which must round the same, signs of zeros included
+        # (and the float guard's AVX2 clone must find the same maximum)
         needs_cc_and_headers()
         dispatched = _native.kernels()
         if dispatched is None:
@@ -339,14 +339,20 @@ class TestVerletKernel:
             a.real, a.imag = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-100, 100, (2, n))
             a.real[rng.random(n) < 0.1] = -0.0
             adot = a[::-1].copy()
+            # an envelope whose RK4 stages stay finite, down to subnormals
+            b = np.empty(n, complex)
+            b.real, b.imag = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-320, 1, (2, n))
+            b.imag[rng.random(n) < 0.1] = -0.0
             runs = []
             for kernels in (dispatched, plain):
                 m, x, xdot = np.empty((3, n))
-                out = np.empty(n, complex)
+                out, step = np.empty((2, n), complex)
                 assert kernels.absolute(a, m)
                 assert kernels.ansatz(a, adot, x, xdot, e1, e3, 0.3, 0.07)
-                assert kernels.flow(a, None, out, 0.025, 0.5, 0.0125, -0.15)
-                runs.append((m, x, xdot, out.view(float), np.array([kernels.sup_abs(a, True)])))
+                assert kernels.flow(a, out, 0.025, 0.5, 0.0125, -0.15)
+                assert kernels.rk4(b, step, -0.05, 0.025, 0.5, 0.0125, -0.15)
+                sups = [kernels.sup_abs(a, True), kernels.sup_abs(a.real.copy(), False)]
+                runs.append((m, x, xdot, out.view(float), step.view(float), np.array(sups)))
             for got, want in zip(*runs):
                 assert got.tobytes() == want.tobytes()
 

@@ -8,9 +8,9 @@ round trips of the chain and envelope states, the identity of the direct
 and expanded residuals, the justify family's rho windows, and the compiled
 kernels: the chain's Verlet loop, the envelope stencil, the RK4 step, the
 ansatz and the error energy, each bit-identical to its numpy reference, the
-blow-up guard deciding as numpy does, the co-integration giving the same
-bits when the probe of the complex kernels fails, and the Verlet loop
-time-reversible.
+blow-up guard deciding as numpy does, the co-integration and the envelope
+integration giving the same bits when the probe of the complex kernels
+fails, and the Verlet loop time-reversible.
 """
 
 import json
@@ -44,17 +44,20 @@ from dklab.dnls_models import (
     NormalFormDnls,
     StandardDnls,
     _flow,
+    l2_conserved,
     rhs,
 )
 from dklab.errors import BlowUpError, RegimeError
 from dklab.integrators import (
     BLOWUP_LIMIT,
+    IntegratorConfig,
     _advance_verlet,
     _advance_verlet_numpy,
     _check_sane,
     _dkg_force,
     _rk4_step,
     _rk4_step_numpy,
+    integrate,
     verlet_backend,
 )
 from dklab.lattice_core import LatticeState, neighbor_sum, read_csv
@@ -98,11 +101,11 @@ def _scale(model, a):
 
 @st.composite
 def raw_envelopes(draw):
-    """Envelopes of 3..81 sites at a magnitude from 1e-15 to 1e2, with
+    """Envelopes of 3..81 sites at a magnitude from subnormal to 1e2, with
     entries of -0.0 and of zero imaginary part."""
     n = draw(odd_lengths.filter(lambda m: m >= 3))
     signed = components | st.sampled_from([0.0, -0.0])
-    scale = draw(st.sampled_from([1e-15, 1e-8, 1e-3, 1.0, 10.0, 1e2]))
+    scale = draw(st.sampled_from([5e-324, 1e-310, 1e-15, 1e-8, 1e-3, 1.0, 10.0, 1e2]))
     a = np.empty(n, complex)  # set part by part: complex arithmetic would flip -0.0
     a.real = scale * draw(hnp.arrays(np.float64, n, elements=signed))
     a.imag = scale * draw(hnp.arrays(np.float64, n, elements=signed) | st.just(np.zeros(n)))
@@ -288,12 +291,11 @@ def test_compiled_rhs_matches_numpy(model, a):
     assert _same_bits(rhs(model, a), _flow(c, a, c[3] * np.abs(a) ** 2 * a))
 
 
-@pytest.mark.skipif(verlet_backend() == "numpy", reason="no compiled kernels here")
+@pytest.mark.skipif(not _native.complex_exact(), reason="no compiled rk4 here")
 @given(model=models, a=raw_envelopes(),
        h=st.floats(min_value=1e-4, max_value=0.1) | st.floats(min_value=-0.1, max_value=-1e-4))
 def test_compiled_rk4_step_matches_numpy(model, a, h):
-    fun = lambda z: rhs(model, z)  # noqa: E731
-    assert _same_bits(_rk4_step(a, fun, h), _rk4_step_numpy(a, fun, h))
+    assert _same_bits(_rk4_step(a, model, h), _rk4_step_numpy(a, model, h))
 
 
 @given(run=chains())
@@ -417,6 +419,22 @@ def test_run_justification_same_bits_when_probe_fails(regime, rho, monkeypatch):
         assert _same_bits(getattr(compiled, name), getattr(reference, name))
 
 
+@pytest.mark.parametrize("model", [StandardDnls(0.5), GeneralizedDnls(0.7, 0.1),
+                                   NormalFormDnls(1.2, -0.3, -0.05)], ids=type)
+def test_integrate_envelope_same_bits_when_probe_fails(model, monkeypatch):
+    # with the probe failing, rhs and the RK4 step run in numpy: the
+    # trajectory must not change a bit
+    config = IntegratorConfig(dt=1e-2, t_end=0.5, observer_stride=10)
+    state = EnvelopeState(_gaussian_envelope(), 0.25)
+    observers = [lambda t, s: {"norm2": l2_conserved(s.a)}]
+    compiled = integrate(state, model, config, observers)
+    monkeypatch.setattr(_native, "complex_exact", lambda: False)
+    reference = integrate(state, model, config, observers)
+    assert _same_bits(compiled.times, reference.times)
+    assert _same_bits(compiled.final.a, reference.final.a)
+    assert _same_bits(compiled.diagnostics["norm2"], reference.diagnostics["norm2"])
+
+
 class _OffByOneUlp:
     """The kernels, with one entry's output moved by one ulp."""
 
@@ -432,15 +450,27 @@ class _OffByOneUlp:
 
         def nudged(*args):
             done = entry(*args)
-            out = args[{"absolute": 1, "ansatz": 3}[attr]]
+            out = args[{"absolute": 1, "ansatz": 3, "flow": 1, "rk4": 1}[attr]].view(float)
             out[-1] = np.nextafter(out[-1], np.inf)
             return done
 
         return nudged
 
 
+@pytest.mark.skipif(verlet_backend() == "numpy", reason="no compiled kernels here")
+def test_probe_passes_where_numpy_fuses_complex_products():
+    # the kernels fuse complex products as numpy's FMA loops do; where numpy
+    # fuses them, a probe that fails would silently turn the compiled
+    # complex paths off, and every test above that needs them would skip
+    u = np.full(3, complex(1.0 + 2.0**-30, 1.0))
+    v = np.full(3, complex(1.0 - 2.0**-30, 1.0))
+    if (u * v).real[0] != -(2.0**-60):  # 0.0 when the product is not fused
+        pytest.skip("numpy does not fuse complex products here")
+    assert _native.complex_exact()
+
+
 @no_complex_kernels
-@pytest.mark.parametrize("name", ["absolute", "ansatz", "sup_abs"])
+@pytest.mark.parametrize("name", ["absolute", "ansatz", "sup_abs", "flow", "rk4"])
 def test_probe_catches_one_ulp(name):
     kernels = _native.kernels()
     assert _native.probe(kernels)
