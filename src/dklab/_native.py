@@ -8,10 +8,10 @@ rounds once on every CPU, into ``$XDG_CACHE_HOME/dklab/`` (default
 ``~/.cache/dklab/``).  Its file name carries a hash of the source, the
 flags, the machine type and the interpreter's extension suffix, so a changed
 source or another interpreter builds its own library.  The flags name no
-instruction set: with GCC on x86-64 the loops carry AVX2 or FMA clones that
-the dynamic loader selects on the CPU that loads the library, so one library
-per machine type is safe.  The compiler writes a temporary file that
-is then renamed into place, so a process never loads a library another
+instruction set: with GCC on x86-64 the loops carry AVX-512, AVX2 or FMA
+clones that the dynamic loader selects on the CPU that loads the library, so
+one library per machine type is safe.  The compiler writes a temporary file
+that is then renamed into place, so a process never loads a library another
 process is still writing.  Nothing is printed: the compiler's output is
 captured.
 

@@ -484,7 +484,7 @@ def run_justification(config: JustificationConfig, a0: np.ndarray) -> Justificat
                 f"envelope magnitude {edge:.2e} at the chain boundary exceeds "
                 "1e-12: the periodic chain may no longer emulate the infinite "
                 "one; increase N",
-                stacklevel=2,
+                stacklevel=1,
             )
 
     adot = rhs(model, a)

@@ -31,13 +31,16 @@ The chain's step loop ``_advance_verlet``, the envelope step ``_rk4_step``
 (one call per step for the four stencils of ``dnls_models.rhs`` and the
 stages) and the blow-up guard run compiled kernels of the extension
 ``dklab._kernels``, which :mod:`dklab._native` builds from ``_kernels.c`` on
-first use (never at import). The Verlet kernel makes one pass over the ring
-per step, strip by strip, in loops that gcc vectorises, with an AVX2 clone
-picked at load time on x86-64. The kernels perform numpy's operations in the
-same order, so they are bit-identical to ``_advance_verlet_numpy``,
-``_rk4_step_numpy`` and np.max(np.abs(arr)). The complex ones (the RK4 step,
-an envelope's guard) run only when :func:`dklab._native.complex_exact` has
-found their arithmetic equal to numpy's. Without that, without the
+first use (never at import). The Verlet kernel keeps its work in L1: a ring
+of fewer than 2048 sites makes one pass per step, strip by strip, and a
+larger one advances block by block in time tiles of up to 32 steps when a
+call runs 6 steps or more, in loops that gcc vectorises, with AVX-512 and
+AVX2 clones picked at load time on x86-64. The kernels perform numpy's
+operations in the same order, so they are bit-identical to
+``_advance_verlet_numpy``, ``_rk4_step_numpy`` and np.max(np.abs(arr)). The
+complex ones (the RK4 step, an envelope's guard) run only when
+:func:`dklab._native.complex_exact` has found their arithmetic equal to
+numpy's. Without that, without the
 extension, or when the arrays are not equal-length, contiguous, native
 float64 (chain) or complex128 (envelope) vectors of 3 or more sites, the
 numpy forms run instead, silently. :func:`verlet_backend` reports whether

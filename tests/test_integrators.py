@@ -1,6 +1,7 @@
 """Verlet and RK4 steppers, trajectory driver, blow-up guard."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -47,6 +48,12 @@ def prepare(layout, v):
     if layout == "big-endian":
         return v.astype(v.dtype.newbyteorder(">"))
     return v.astype(np.complex64 if v.dtype.kind == "c" else np.float32)
+
+
+def kernel_constant(name):
+    """The value of ``#define name`` in the kernels' C source."""
+    (value,) = re.findall(rf"^#define {name} (\d+)$", _native.SOURCE.read_text(), re.M)
+    return int(value)
 
 
 def duffing_reference(x0, v0, rho, t_end, dt=1e-6):
@@ -224,6 +231,37 @@ class TestVerletKernel:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    def test_tiled_rings_match_numpy(self):
+        # calls of TILED_STEPS steps or more on rings of TILED_FROM sites or
+        # more advance in time tiles of up to HALO steps over blocks of BLOCK
+        # sites; every ring size and step count must give numpy's bits,
+        # signs of zeros included
+        kernels = _native.kernels()
+        if kernels is None:
+            pytest.skip("the extension does not build here")
+        tiled_from, tiled_steps, block, halo = map(
+            kernel_constant, ("TILED_FROM", "TILED_STEPS", "BLOCK", "HALO"))
+        sizes = (
+            tiled_from - 1, tiled_from, tiled_from + 1,
+            3 * block - 1, 3 * block + 1,
+            3 * block + halo // 2,  # a last block shorter than the halo
+            16385,
+        )
+        rng = np.random.default_rng(14)
+        for n in sizes:
+            for steps in (0, 1, tiled_steps - 1, tiled_steps, halo - 1, halo, halo + 1,
+                          3 * halo + 5):
+                x, y = rng.uniform(-1.0, 1.0, (2, n))
+                x[rng.random(n) < 0.05] = -0.0
+                y[rng.random(n) < 0.05] = -0.0
+                f = integrators._dkg_force(x, 0.1, 0.3)
+                runs = [[x.copy(), y.copy(), f.copy()] for _ in range(2)]
+                assert kernels.advance_verlet(*runs[0], 0.1, 0.3, 0.05, steps)
+                integrators._advance_verlet_numpy(*runs[1], 0.1, 0.3, 0.05, steps)
+                for got, want in zip(*runs):
+                    assert np.array_equal(got, want), (n, steps)
+                    assert np.array_equal(np.signbit(got), np.signbit(want)), (n, steps)
+
     def test_loader_builds_with_cc_and_gives_none_on_unusable_cache(self, tmp_path, monkeypatch):
         needs_cc_and_headers()
         include = sysconfig.get_paths()["include"]
@@ -281,9 +319,10 @@ class TestVerletKernel:
         assert proc.returncode == 0, proc.stderr
 
     def test_default_clone_matches_dispatched(self, tmp_path, monkeypatch):
-        # on an AVX2 CPU the loader picks the Verlet loop's AVX2 clone; a
-        # build of the source without the target_clones line runs the plain
-        # loop, which must give the same bits, signs of zeros included
+        # on an AVX-512 or AVX2 CPU the loader picks the Verlet loops' clone
+        # for it; a build of the source without the target_clones line runs
+        # the plain loops, which must give the same bits, signs of zeros
+        # included, in one pass and in time tiles alike
         needs_cc_and_headers()
         dispatched = _native.kernels()
         if dispatched is None:
@@ -298,7 +337,7 @@ class TestVerletKernel:
         assert default is not None
 
         rng = np.random.default_rng(12)
-        for n in (1, 2, 3, 511, 514, 1025, 4099):
+        for n in (1, 2, 3, 511, 514, 1025, kernel_constant("TILED_FROM"), 4099, 16385):
             x, y = rng.uniform(-1.0, 1.0, (2, n))
             x[rng.random(n) < 0.05] = -0.0
             y[rng.random(n) < 0.05] = -0.0
