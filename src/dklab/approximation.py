@@ -68,7 +68,7 @@ from .dnls_models import DnlsModel, GeneralizedDnls, StandardDnls, rhs, second_d
 from .integrators import (
     IntegratorConfig, _advance_verlet, _check_sane, _dkg_force, _rk4_step, _strides
 )
-from .lattice_core import l2_norm, neighbor_sum, write_csv
+from .lattice_core import FloatText, l2_norm, neighbor_sum, write_csv
 
 __all__ = [
     "AnsatzSample",
@@ -452,9 +452,9 @@ class JustificationReport:
 
     def write_csv(self, path, config_hash: str | None = None) -> None:
         scale = np.full(len(self.times), self.bound_scale)
-        rows = np.column_stack((self.times, self.error_norm, self.Q, scale)).tolist()
+        columns = map(FloatText, (self.times, self.error_norm, self.Q, scale))
         comments = [f"config_hash={config_hash}"] if config_hash else []
-        write_csv(path, ("t", "error_norm", "Q", "bound_scale"), rows, comments)
+        write_csv(path, ("t", "error_norm", "Q", "bound_scale"), columns, comments)
 
 
 def run_justification(config: JustificationConfig, a0: np.ndarray) -> JustificationReport:

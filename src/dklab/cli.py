@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -62,7 +63,15 @@ from .dnls_models import (
     warn_outside_asymptotic_range,
 )
 from .errors import BlowUpError, NewtonDivergenceError, NewtonSingularError
-from .lattice_core import LatticeState, ModelParams, energy_dkg, l2_norm, write_csv
+from .lattice_core import (
+    WRITE_CHUNK,
+    FloatText,
+    LatticeState,
+    ModelParams,
+    energy_dkg,
+    l2_norm,
+    write_csv,
+)
 
 __all__ = ["ExperimentConfig", "parse_and_validate", "run", "main"]
 
@@ -161,6 +170,7 @@ def _seed_sites(text: str) -> dict[int, float]:
     return out
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dklab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"dklab {__version__}")
@@ -254,7 +264,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--omega-s", type=float, default=1.5)
     p.add_argument("--nu", type=float, default=1.0)
     p.add_argument("--n", type=int, default=16)
-    p.add_argument("--seed-sites", type=_seed_sites, default={0: 1.0},
+    p.add_argument("--seed-sites", type=_seed_sites, default="0",  # a fresh {0: 1.0} per parse
                    help="e.g. '0' or '0:1,1:-1'")
     _add_common(p)
 
@@ -390,10 +400,51 @@ def parse_and_validate(argv=None) -> ExperimentConfig:
 # -- output helpers ------------------------------------------------------------
 
 
+def _finite_floats(value) -> bool:
+    """True when ``value`` is a non-empty list of finite Python floats, whose
+    JSON entries are their ``float.__repr__``."""
+    return type(value) is list and {*map(type, value)} == {float} and all(
+        map(math.isfinite, value))
+
+
+def _write_entries(fh, entries: list, fmt=None) -> None:
+    """Write a top-level JSON list of ``entries`` (strings, or values that
+    ``fmt`` formats), ``WRITE_CHUNK`` at a time."""
+    sep = "[\n    "
+    for start in range(0, len(entries), WRITE_CHUNK):
+        chunk = entries[start:start + WRITE_CHUNK]
+        fh.write(sep + ",\n    ".join(map(fmt, chunk) if fmt else chunk))
+        sep = ",\n    "
+    fh.write("\n  ]" if entries else "[]")
+
+
 def _write_json(path: Path, payload: dict, config_hash: str) -> None:
-    body = {"config_hash": config_hash}
-    body.update(payload)
-    path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+    """Write ``{"config_hash": config_hash, **payload}`` (string keys) with
+    the bytes of ``json.dumps(body, indent=2, sort_keys=True) + "\\n"``, so
+    floats use shortest round-trip decimals.  A top-level :class:`FloatText`
+    of finite values writes its strings, and a top-level list of finite
+    Python floats its ``float.__repr__`` strings, ``WRITE_CHUNK`` entries per
+    write, so each float is formatted once and the file's text is never held
+    whole.  Every other value is ``json.dumps``-ed and re-indented at each
+    newline, all of which are layout, since JSON escapes a newline inside a
+    string."""
+    body = {"config_hash": config_hash, **payload}
+    with open(path, "w") as fh:
+        sep = "{\n  "
+        for key in sorted(body):
+            fh.write(f"{sep}{json.dumps(key)}: ")
+            sep = ",\n  "
+            value = body[key]
+            if isinstance(value, FloatText):
+                if np.isfinite(value.values).all():
+                    _write_entries(fh, value.strings)
+                    continue
+                value = value.values.tolist()  # json writes NaN and Infinity, not repr's
+            if _finite_floats(value):
+                _write_entries(fh, value, float.__repr__)
+            else:
+                fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+        fh.write("\n}\n")
 
 
 def _write_svg_loglog(
@@ -462,7 +513,7 @@ def _soliton_envelope(onehot: bool, amplitude: float, omega_s: float, n_half: in
 
 def _write_run(cfg: ExperimentConfig, traj: integrators.Trajectory, summary: dict) -> None:
     traj.write_csv(cfg.outdir / "trajectory.csv", cfg.config_hash)
-    _write_json(cfg.outdir / "final_state.json", traj.final.to_json_dict(), cfg.config_hash)
+    _write_json(cfg.outdir / "final_state.json", traj.final.to_json_payload(), cfg.config_hash)
     traj.final.write_csv(cfg.outdir / "final_state.csv", f"config_hash={cfg.config_hash}")
     _write_json(cfg.outdir / "summary.json", summary, cfg.config_hash)
 
@@ -595,7 +646,8 @@ def _run_justify_sweep(cfg: ExperimentConfig) -> int:
     write_csv(
         cfg.outdir / "sweep.csv",
         ("epsilon", "rho", "sup_error", "bound_scale", "ratio"),
-        [(r.config.epsilon, r.config.rho, r.sup_error, r.bound_scale, r.ratio) for r in reports],
+        zip(*[(r.config.epsilon, r.config.rho, r.sup_error, r.bound_scale, r.ratio)
+              for r in reports]),
         [f"config_hash={cfg.config_hash}"],
     )
     return 0
@@ -648,7 +700,7 @@ def _cmd_normalform(cfg: ExperimentConfig) -> int:
     write_csv(
         cfg.outdir / "decay.csv",
         ("m", "b_m", "decay_scale"),
-        coeffs.decay_table(),
+        zip(*coeffs.decay_table()),
         [f"config_hash={cfg.config_hash}"],
     )
     return 0
@@ -681,10 +733,11 @@ def _cmd_breather_return(cfg: ExperimentConfig) -> int:
     report = solitons.breather_return_error(
         profile, p["epsilon"], rho, p["periods"], p["dt"]
     )
+    errors = FloatText(report.errors)
     write_csv(
         cfg.outdir / "breather_return.csv",
         ("k", "t", "return_error"),
-        zip(range(1, len(report.times) + 1), report.times.tolist(), report.errors.tolist()),
+        (range(1, len(report.times) + 1), FloatText(report.times), errors),
         [f"config_hash={cfg.config_hash}"],
     )
     _write_json(
@@ -694,7 +747,7 @@ def _cmd_breather_return(cfg: ExperimentConfig) -> int:
             "omega_fit": report.omega_fit,
             "epsilon": p["epsilon"],
             "rho": rho,
-            "errors": report.errors.tolist(),
+            "errors": errors,
         },
         cfg.config_hash,
     )

@@ -43,7 +43,7 @@ from typing import Union
 import numpy as np
 
 from . import _native
-from .lattice_core import _frozen_vector, l2_norm, neighbor_sum, read_csv, write_csv
+from .lattice_core import FloatText, _frozen_vector, l2_norm, neighbor_sum, read_csv, write_csv
 
 __all__ = [
     "EnvelopeState",
@@ -90,12 +90,23 @@ class EnvelopeState:
     def n_half(self) -> int:
         return len(self.a) // 2
 
+    @functools.cached_property
+    def text(self) -> tuple[FloatText, FloatText]:
+        """The real and imaginary parts as :class:`FloatText`, which the
+        writers of a final state's CSV and JSON files share."""
+        return FloatText(self.a.real), FloatText(self.a.imag)
+
     def to_json_dict(self) -> dict:
         return {
             "tau": self.tau,
             "re": self.a.real.tolist(),
             "im": self.a.imag.tolist(),
         }
+
+    def to_json_payload(self) -> dict:
+        """:meth:`to_json_dict` with the parts as :attr:`text`, for
+        ``cli._write_json``."""
+        return {"tau": self.tau, "re": self.text[0], "im": self.text[1]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EnvelopeState":
@@ -104,9 +115,8 @@ class EnvelopeState:
 
     def write_csv(self, path, header_comment: str | None = None) -> None:
         comments = [c for c in (header_comment, f"tau={self.tau!r}") if c]
-        sites = range(-self.n_half, self.n_half + 1)
-        rows = zip(sites, self.a.real.tolist(), self.a.imag.tolist())
-        write_csv(path, ("j", "re", "im"), rows, comments)
+        write_csv(path, ("j", "re", "im"), (range(-self.n_half, self.n_half + 1), *self.text),
+                  comments)
 
     @classmethod
     def read_csv(cls, path) -> "EnvelopeState":

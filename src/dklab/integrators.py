@@ -58,7 +58,7 @@ import numpy as np
 from . import _native
 from .errors import BlowUpError
 from .dnls_models import DnlsModel, EnvelopeState, _rhs_numpy
-from .lattice_core import LatticeState, ModelParams, neighbor_sum, write_csv
+from .lattice_core import FloatText, LatticeState, ModelParams, neighbor_sum, write_csv
 
 __all__ = [
     "IntegratorConfig",
@@ -141,9 +141,9 @@ class Trajectory:
 
     def write_csv(self, path, config_hash: str | None = None) -> None:
         names = sorted(self.diagnostics)
-        rows = np.column_stack([self.times] + [self.diagnostics[n] for n in names]).tolist()
+        columns = map(FloatText, [self.times] + [self.diagnostics[n] for n in names])
         comments = [f"config_hash={config_hash}"] if config_hash else []
-        write_csv(path, ["t"] + names, rows, comments)
+        write_csv(path, ["t"] + names, columns, comments)
 
 
 # -- low-level kernels -------------------------------------------------------

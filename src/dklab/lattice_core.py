@@ -29,12 +29,14 @@ factors.  The map is a bijection from (0, inf) onto (0, 1/2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
+from functools import cached_property
+from itertools import islice, takewhile
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "FloatText",
     "LatticeState",
     "ModelParams",
     "RescaledCoupling",
@@ -72,17 +74,37 @@ def neighbor_sum(arr: np.ndarray, k: int = 1) -> np.ndarray:
     return padded[2 * k:] + padded[:n]
 
 
-def write_csv(path, header, rows, comments=()) -> None:
+# Entries of a float list (JSON) or rows (CSV) that a bulk writer joins and
+# writes at a time, so no writer holds a whole file's text.
+WRITE_CHUNK = 2048
+
+
+class FloatText:
+    """A float vector and its text: ``strings`` holds the shortest round-trip
+    decimal (``float.__repr__``) of each entry, formatted on first use, so a
+    vector that two files share is formatted once."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    @cached_property
+    def strings(self) -> list[str]:
+        return list(map(float.__repr__, self.values.tolist()))
+
+
+def write_csv(path, header, columns, comments=()) -> None:
     """Write one ``# {c}`` line per comment, the comma-joined header, then
-    one line per row.  Rows hold Python scalars, written by ``repr``, so
-    floats use shortest round-trip decimals."""
-    line = ",".join(["{!r}"] * len(header)) + "\n"
+    one line per row: the fields of ``columns`` zipped and comma-joined,
+    ``WRITE_CHUNK`` rows per write.  A column is a :class:`FloatText` or a
+    sequence of Python scalars written by ``repr``, so floats use shortest
+    round-trip decimals."""
+    rows = zip(*(c.strings if isinstance(c, FloatText) else map(repr, c) for c in columns))
     with open(path, "w", newline="") as fh:
         for c in comments:
             fh.write(f"# {c}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(line.format(*row))
+        while chunk := list(islice(rows, WRITE_CHUNK)):
+            fh.write("\n".join(map(",".join, chunk)) + "\n")
 
 
 def read_csv(path) -> tuple[dict[str, str], list[list[str]]]:
@@ -109,7 +131,8 @@ class LatticeState:
     """Displacements and velocities of the periodic chain at fast time t.
 
     Immutable after construction; the arrays are copied and marked
-    read-only, so instances are safe to share across threads.
+    read-only, so instances are safe to share across threads, and their
+    text (:attr:`text`) is formatted on first use and kept.
     """
 
     x: np.ndarray
@@ -149,18 +172,29 @@ class LatticeState:
 
     # -- serialization -----------------------------------------------------
 
+    @cached_property
+    def text(self) -> tuple[FloatText, FloatText]:
+        """x and y as :class:`FloatText`, which the writers of a final state's
+        CSV and JSON files share."""
+        return FloatText(self.x), FloatText(self.y)
+
     def to_json_dict(self) -> dict:
         return {"t": self.t, "x": self.x.tolist(), "y": self.y.tolist()}
+
+    def to_json_payload(self) -> dict:
+        """:meth:`to_json_dict` with x and y as :attr:`text`, for
+        ``cli._write_json``."""
+        return {"t": self.t, "x": self.text[0], "y": self.text[1]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LatticeState":
         return cls(np.array(d["x"], dtype=float), np.array(d["y"], dtype=float), float(d["t"]))
 
     def write_csv(self, path, header_comment: str | None = None) -> None:
-        """Columns j, x, y; floats use shortest round-trip decimals."""
+        """Columns j, x, y; x and y are :attr:`text`."""
         comments = [c for c in (header_comment, f"t={self.t!r}") if c]
-        sites = range(-self.n_half, self.n_half + 1)
-        write_csv(path, ("j", "x", "y"), zip(sites, self.x.tolist(), self.y.tolist()), comments)
+        write_csv(path, ("j", "x", "y"), (range(-self.n_half, self.n_half + 1), *self.text),
+                  comments)
 
     @classmethod
     def read_csv(cls, path) -> "LatticeState":

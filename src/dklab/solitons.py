@@ -46,7 +46,7 @@ from .errors import NewtonDivergenceError, NewtonSingularError, RegimeError
 from .approximation import leading_order
 from .dnls_models import StandardDnls, rhs
 from .integrators import MAX_DT, IntegratorConfig, integrate, step_count
-from .lattice_core import LatticeState, ModelParams, _frozen_vector, write_csv
+from .lattice_core import FloatText, LatticeState, ModelParams, _frozen_vector, write_csv
 
 __all__ = [
     "SolitonProfile",
@@ -104,7 +104,7 @@ class SolitonProfile:
     def write_csv(self, path, header_comment: str | None = None) -> None:
         comments = [header_comment] if header_comment else []
         sites = range(-self.n_half, len(self.A) - self.n_half)
-        write_csv(path, ("j", "A"), zip(sites, self.A.tolist()), comments)
+        write_csv(path, ("j", "A"), (sites, FloatText(self.A)), comments)
 
 
 def stationary_defect(A: np.ndarray, Omega_s: float, nu: float) -> np.ndarray:

@@ -269,6 +269,33 @@ class TestParsing:
     def test_bare_seed_site_takes_plus_sign(self, capsys):
         assert parse_and_validate(["soliton", "--seed-sites", "3"]).params["seed_sites"] == {3: 1.0}
 
+    def test_cached_parser_matches_fresh_parsers(self, tmp_path, monkeypatch, capsys):
+        # one parser serves every call of a process: a sequence of calls on
+        # it, a --config run followed by plain runs of other subcommands,
+        # gives what a fresh parser gives each call
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("n = 8\nsave-states = yes\ninit = onehot\n")
+        argvs = [
+            ["simulate-dkg", "--config", str(cfg_file), "--n", "4"],
+            ["simulate-dkg"],
+            ["soliton", "--n", "4"],
+            ["soliton", "--n", "4", "--seed-sites", "0:1,1:-1"],
+            ["justify", "--sweep", "0.1,0.05,0.025", "--rho-rule", "eps", "--n", "8"],
+            ["soliton", "--n", "4"],
+        ]
+        cached = [parse_and_validate(argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)  # uncached
+        fresh = [parse_and_validate(argv) for argv in argvs]
+        capsys.readouterr()
+        assert cached == fresh
+        assert cached[0].params["n"] == 4 and cached[0].params["save_states"]
+        assert cached[1].params["n"] == 64 and not cached[1].params["save_states"]
+
+    def test_default_seed_sites_do_not_leak_between_calls(self, capsys):
+        first = parse_and_validate(["soliton"]).params["seed_sites"]
+        first[5] = -1.0
+        assert parse_and_validate(["soliton"]).params["seed_sites"] == {0: 1.0}
+
 
 class TestNormalformCommand:
     def test_outputs(self, tmp_path, capsys):

@@ -3,19 +3,24 @@
 Each case writes one file from a small fixed input, built from numpy arrays
 as the program builds it, and compares the complete text with a literal.
 The three files that ``dklab.cli`` writes itself are produced by running
-their subcommands with the numerical work replaced by fixed results.
+their subcommands with the numerical work replaced by fixed results.  A
+property compares ``lattice_core.write_csv`` with the per-row ``"{!r},..."``
+formatter it replaced.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dklab import approximation, cli, normal_form, solitons
 from dklab.approximation import JustificationReport
 from dklab.dnls_models import EnvelopeState
 from dklab.integrators import Trajectory
-from dklab.lattice_core import LatticeState
+from dklab.lattice_core import WRITE_CHUNK, FloatText, LatticeState, write_csv
 from dklab.solitons import BreatherReturnReport, SolitonProfile
 
 
@@ -155,3 +160,43 @@ CASES = {
 def test_csv_bytes(name, tmp_path, monkeypatch, capsys):
     write, expected = CASES[name]
     assert write(tmp_path, monkeypatch, capsys).read_bytes().decode() == expected
+
+
+# -- the writer against the per-row formatter it replaced --------------------------
+
+
+def _per_row(path, header, rows, comments):
+    line = ",".join(["{!r}"] * len(header)) + "\n"
+    with open(path, "w", newline="") as fh:
+        for c in comments:
+            fh.write(f"# {c}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(line.format(*row))
+
+
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, 1e16, 1e-5, 1e-4, math.nan, math.inf, -math.inf)
+floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+columns = st.sampled_from(["floats", "float_text", "ints"])
+
+
+@given(st.lists(columns, min_size=1, max_size=4),
+       st.sampled_from([0, 1, 5, WRITE_CHUNK - 1, WRITE_CHUNK, 2 * WRITE_CHUNK + 1]),
+       st.integers(0, 2**32 - 1), st.lists(floats, max_size=4),
+       st.lists(st.text(alphabet=st.characters(blacklist_categories=["Cc", "Cs"])), max_size=2))
+@settings(max_examples=60)
+def test_write_csv_matches_per_row_format(tmp_path_factory, kinds, n_rows, seed, specials,
+                                          comments):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((len(kinds), n_rows)) * 10.0 ** rng.integers(-20, 21, n_rows)
+    if n_rows:
+        values.flat[rng.integers(0, values.size, len(specials))] = specials
+    cols = [range(-(n_rows // 2), n_rows - n_rows // 2) if kind == "ints"
+            else FloatText(v) if kind == "float_text" else v.tolist()
+            for kind, v in zip(kinds, values)]
+    header = [f"c{i}" for i in range(len(kinds))]
+    rows = zip(*(c.values.tolist() if isinstance(c, FloatText) else c for c in cols))
+    path = tmp_path_factory.mktemp("csv")
+    write_csv(path / "new.csv", header, cols, comments)
+    _per_row(path / "old.csv", header, rows, comments)
+    assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()

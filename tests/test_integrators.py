@@ -1,6 +1,7 @@
 """Verlet and RK4 steppers, trajectory driver, blow-up guard."""
 
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -54,6 +55,56 @@ def kernel_constant(name):
     """The value of ``#define name`` in the kernels' C source."""
     (value,) = re.findall(rf"^#define {name} (\d+)$", _native.SOURCE.read_text(), re.M)
     return int(value)
+
+
+def cpu_flags():
+    """The CPU's feature flags as Linux lists them; empty elsewhere."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {flag for line in text.splitlines() if line.startswith("flags")
+            for flag in line.split(":", 1)[1].split()}
+
+
+def build_source(tmp_path, monkeypatch, text):
+    """The kernels built from ``text`` in place of ``_kernels.c``."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    source = tmp_path / "_kernels.c"
+    source.write_text(text)
+    monkeypatch.setattr(_native, "SOURCE", source)
+    module = _native.load(tmp_path / "cache", sysconfig.get_paths()["include"])
+    assert module is not None
+    return module
+
+
+def build_plain(tmp_path, monkeypatch):
+    """The kernels built without their target_clones line: the plain loops."""
+    lines = _native.SOURCE.read_text().splitlines(keepends=True)
+    plain = [line for line in lines if "__attribute__((target_clones" not in line]
+    assert len(plain) == len(lines) - 1
+    return build_source(tmp_path, monkeypatch, "".join(plain))
+
+
+def assert_same_verlet(first, second):
+    """``advance_verlet`` of two builds gives the same bits, signs of zeros
+    included, on rings in one pass and in time tiles."""
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3, 511, 514, 1025, kernel_constant("TILED_FROM"), 4099, 16385):
+        x, y = rng.uniform(-1.0, 1.0, (2, n))
+        x[rng.random(n) < 0.05] = -0.0
+        y[rng.random(n) < 0.05] = -0.0
+        f = integrators._dkg_force(x, 0.1, 0.3)
+        runs = [[x.copy(), y.copy(), f.copy()] for _ in range(2)]
+        ran = n >= 3  # both builds decline rings under 3 sites, untouched
+        assert first.advance_verlet(*runs[0], 0.1, 0.3, 0.05, 40) is ran
+        assert second.advance_verlet(*runs[1], 0.1, 0.3, 0.05, 40) is ran
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+        if not ran:
+            for a, b in zip(runs[0], (x, y, f)):
+                assert np.array_equal(a, b)
 
 
 def duffing_reference(x0, v0, rho, t_end, dt=1e-6):
@@ -327,31 +378,22 @@ class TestVerletKernel:
         dispatched = _native.kernels()
         if dispatched is None:
             pytest.skip("the extension does not build here")
-        lines = _native.SOURCE.read_text().splitlines(keepends=True)
-        plain = [line for line in lines if "__attribute__((target_clones" not in line]
-        assert len(plain) == len(lines) - 1
-        source = tmp_path / "_kernels.c"
-        source.write_text("".join(plain))
-        monkeypatch.setattr(_native, "SOURCE", source)
-        default = _native.load(tmp_path / "cache", sysconfig.get_paths()["include"])
-        assert default is not None
+        assert_same_verlet(dispatched, build_plain(tmp_path, monkeypatch))
 
-        rng = np.random.default_rng(12)
-        for n in (1, 2, 3, 511, 514, 1025, kernel_constant("TILED_FROM"), 4099, 16385):
-            x, y = rng.uniform(-1.0, 1.0, (2, n))
-            x[rng.random(n) < 0.05] = -0.0
-            y[rng.random(n) < 0.05] = -0.0
-            f = integrators._dkg_force(x, 0.1, 0.3)
-            runs = [[x.copy(), y.copy(), f.copy()] for _ in range(2)]
-            ran = n >= 3  # both builds decline rings under 3 sites, untouched
-            assert dispatched.advance_verlet(*runs[0], 0.1, 0.3, 0.05, 40) is ran
-            assert default.advance_verlet(*runs[1], 0.1, 0.3, 0.05, 40) is ran
-            for a, b in zip(*runs):
-                assert np.array_equal(a, b)
-                assert np.array_equal(np.signbit(a), np.signbit(b))
-            if not ran:
-                for a, b in zip(runs[0], (x, y, f)):
-                    assert np.array_equal(a, b)
+    def test_avx2_clone_matches_plain(self, tmp_path, monkeypatch):
+        # an AVX-512 CPU runs the Verlet loops' AVX-512 clone, so their AVX2
+        # clone would run only on other CPUs; a build whose clone list names
+        # only "avx2" (and "default") makes the loader pick it here
+        needs_cc_and_headers()
+        if platform.machine() != "x86_64" or "avx2" not in cpu_flags():
+            pytest.skip("no AVX2 on this CPU")
+        source = _native.SOURCE.read_text()
+        clones = 'static CLONES("avx512f", "avx2") void'
+        assert source.count(clones) == 2  # verlet and verlet_tiled
+        plain = build_plain(tmp_path / "plain", monkeypatch)
+        avx2 = build_source(tmp_path / "avx2", monkeypatch,
+                            source.replace(clones, 'static CLONES("avx2") void'))
+        assert_same_verlet(avx2, plain)
 
     def test_plain_complex_loops_match_dispatched(self, tmp_path, monkeypatch):
         # with FMA the loader picks the complex loops' FMA clones, which
@@ -362,14 +404,7 @@ class TestVerletKernel:
         dispatched = _native.kernels()
         if dispatched is None:
             pytest.skip("the extension does not build here")
-        source = tmp_path / "_kernels.c"
-        source.write_text("".join(
-            line for line in _native.SOURCE.read_text().splitlines(keepends=True)
-            if "__attribute__((target_clones" not in line
-        ))
-        monkeypatch.setattr(_native, "SOURCE", source)
-        plain = _native.load(tmp_path / "cache", sysconfig.get_paths()["include"])
-        assert plain is not None
+        plain = build_plain(tmp_path, monkeypatch)
 
         rng = np.random.default_rng(13)
         e1, e3 = complex(np.exp(0.7j)), complex(np.exp(2.1j))
