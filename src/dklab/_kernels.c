@@ -15,8 +15,6 @@
  *       dklab.approximation.leading_order, with e1 = e^{it}, e3 = e^{3it}.
  *   energy_density(y, ydot, X, out, eps, rho)
  *       the summand of dklab.approximation.error_energy, which sums it.
- *   absolute(a, out)
- *       out = |a| for a complex vector.
  *   sup_abs(v, complex_ok)
  *       max |v_j| of a float64 vector, or of a complex128 one when
  *       complex_ok is true, NaN when an entry is NaN; None when declined.
@@ -46,7 +44,7 @@
  * -ffast-math; vectorising keeps each site's operations as they are.  Real
  * arithmetic (advance_verlet, energy_density, a float sup_abs) is IEEE
  * arithmetic and needs nothing more.  Complex arithmetic follows what
- * numpy's CPU dispatch runs on x86-64 with FMA: its complex abs is
+ * numpy's CPU dispatch runs on x86-64 with FMA: its |a| is
  * hi sqrt(fma(q, q, 1)) with q = lo/hi, its complex products are fused
  * (mul()), those by a real scalar or array too, which numpy promotes to
  * s + 0i (scale()), and a**3 is the unfused product (cube()).  Those depend
@@ -514,7 +512,7 @@ rk4(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_TRUE;
 }
 
-/* -- ansatz, error energy and magnitudes --------------------------------- */
+/* -- ansatz, error energy and the blow-up guard ------------------------- */
 
 /* Convert count Python numbers to complex values; -1 with an exception set
  * when one is not a number. */
@@ -609,13 +607,6 @@ energy_density(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
     Py_RETURN_TRUE;
 }
 
-static CLONES("fma") void
-magnitudes(const cplx *a, double *out, Py_ssize_t n)
-{
-    for (Py_ssize_t j = 0; j < n; j++)
-        out[j] = magnitude(a[j]);
-}
-
 /* The larger of m and v, or NaN when either is NaN, as np.max takes it;
  * written without branches, so that a loop of it vectorises. */
 static inline double
@@ -657,24 +648,6 @@ largest_abs(const double *x, Py_ssize_t n)
 }
 
 static PyObject *
-absolute(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    static const char *const formats[] = {"Zd", "wd"};
-    Py_buffer v[MAX_ARRAYS];
-    int got;
-
-    if (arity(nargs, 2, "absolute") < 0)
-        return NULL;
-    got = vectors(args, 2, formats, v);
-    if (got <= 0)
-        return declined(got);
-
-    magnitudes(v[0].buf, v[1].buf, v[0].shape[0]);
-    release(v, 2);
-    Py_RETURN_TRUE;
-}
-
-static PyObject *
 sup_abs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     static const char *const real_format[] = {"d"}, *const complex_format[] = {"Zd"};
@@ -710,8 +683,6 @@ static PyMethodDef methods[] = {
      "ansatz(a, adot, X, Xdot, e1, e3, rho, eps) -> bool"},
     {"energy_density", (PyCFunction)(void (*)(void))energy_density, METH_FASTCALL,
      "energy_density(y, ydot, X, out, eps, rho) -> bool"},
-    {"absolute", (PyCFunction)(void (*)(void))absolute, METH_FASTCALL,
-     "absolute(a, out) -> bool"},
     {"sup_abs", (PyCFunction)(void (*)(void))sup_abs, METH_FASTCALL,
      "sup_abs(v, complex_ok) -> float or None"},
     {NULL, NULL, 0, NULL},

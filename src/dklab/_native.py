@@ -12,7 +12,10 @@ instruction set: with GCC on x86-64 the loops carry AVX-512, AVX2 or FMA
 clones that the dynamic loader selects on the CPU that loads the library, so
 one library per machine type is safe.  The compiler writes a temporary file
 that is then renamed into place, so a process never loads a library another
-process is still writing.  Nothing is printed: the compiler's output is
+process is still writing.  Libraries built from other sources stay in the
+cache and are never pruned: two source trees that share one cache, such as a
+parent and a changed tree timed in turn, would otherwise rebuild each other's
+library inside a timed run.  Nothing is printed: the compiler's output is
 captured.
 
 When there is no ``cc``, no ``Python.h``, no writable cache, or the library
@@ -24,7 +27,8 @@ arithmetic is numpy's only where numpy's CPU dispatch computes |a| as
 hi sqrt(fma(q, q, 1)) and fuses its complex products (by a promoted real
 factor too), as on x86-64 with FMA.  So :func:`complex_exact` runs
 :func:`probe` once per process, on the first kernel use that needs it, never
-at import; it compares every complex kernel with numpy on a fixed vector.
+at import; it compares the complex kernels (``ansatz``, ``sup_abs``, ``flow``
+and ``rk4``) with numpy on a fixed vector.
 When they differ, callers run the numpy forms of ``rhs``, of the RK4 step,
 of the ansatz and of the complex blow-up guard.
 """
@@ -63,7 +67,9 @@ def probe(module) -> bool:
     """Compare the complex kernels of ``module`` with numpy, bit for bit, on
     every pair of parts from +-0.0, subnormals, +-1e+-100 and a few plain
     values, followed by 64 entries of scattered signs, mantissas and
-    magnitudes; ``rk4`` steps the entries below 1e50, whose stages stay finite."""
+    magnitudes; ``sup_abs`` takes each entry between two zeros, so it returns
+    the entry's |a|, and ``rk4`` steps the entries below 1e50, whose stages
+    stay finite."""
     import numpy as np
 
     # the numpy references; imported here, as approximation imports the
@@ -90,15 +96,12 @@ def probe(module) -> bool:
     def same(u, v):
         return u.dtype == v.dtype and u.tobytes() == v.tobytes()
 
-    magnitude, x, xdot = np.empty((3, len(a)))
+    x, xdot = np.empty((2, len(a)))
     k, step = np.empty(len(a), complex), np.empty(len(ring), complex)
     return (
-        module.absolute(a, magnitude)
-        and same(magnitude, np.abs(a))
+        same(np.array([module.sup_abs(np.array([0j, v, 0j]), True) for v in a]), np.abs(a))
         and module.ansatz(a, adot, x, xdot, e1, e3, rho, eps)
         and all(map(same, (x, xdot), _ansatz_numpy(a, adot, e1, e3, rho, eps)))
-        and all(module.sup_abs(a[i:i + 4], True) == np.max(np.abs(a[i:i + 4]))
-                for i in range(0, len(a), 4))
         and module.flow(a, k, *model.coefficients)
         and same(k, _rhs_numpy(model, a))
         and module.rk4(ring, step, h, *model.coefficients)

@@ -24,10 +24,12 @@ sweep             alias of ``justify --sweep``
 other two ``--sweep``, ``--c0-scale`` and ``--svg``.  ``--sweep`` takes
 distinct eps values and no ``--rho``.  Parsing builds and checks every run
 such a command makes (``ExperimentConfig.runs``) before any work, and so the
-step plan of ``simulate-dkg``/``simulate-dnls`` and ``breather-return``'s
+step plan of ``simulate-dkg``/``simulate-dnls``, the envelope model of
+``simulate-dnls``, the constants of ``thresholds`` and ``breather-return``'s
 period and horizon (``solitons.breather_plan``); for every command it
-refuses ``--n`` above ``MAX_N`` and a soliton profile that
-``solitons.check_profile`` refuses.
+refuses ``--n`` above ``MAX_N``, a soliton profile that
+``solitons.check_profile`` refuses and seed sites that
+``solitons.seed_signs`` refuses.
 
 Configuration values may come from a flat key-value file (``--config``,
 lines of ``name = value`` with ``#`` comments, names matching the long
@@ -96,7 +98,8 @@ class ExperimentConfig:
     seed: int
     config_hash: str
     # the runs built and checked at parse, not hashed: the justify family's
-    # JustificationConfigs, or a simulation's IntegratorConfig
+    # JustificationConfigs, a simulation's IntegratorConfig (and then
+    # simulate-dnls's model), or the ThresholdConstants of thresholds
     runs: tuple = ()
 
 
@@ -290,9 +293,10 @@ def _non_finite(value) -> bool:
 
 
 def _validate(command: str, params: dict, seed: int) -> tuple:
-    """Check ``params``, the soliton profile the command will solve and a
-    breather-return plan; return the checked runs: the justify family's, built
-    with ``seed``, or a simulation's :class:`IntegratorConfig`."""
+    """Check ``params``, the soliton profile and seeds the command will solve
+    and a breather-return plan; return the checked runs: the justify family's,
+    built with ``seed``, a simulation's :class:`IntegratorConfig` (and then
+    simulate-dnls's model), or the constants of thresholds."""
     for name, value in params.items():
         if _non_finite(value):
             raise _CliError(f"--{name.replace('_', '-')} {value} must be finite")
@@ -345,9 +349,40 @@ def _validate(command: str, params: dict, seed: int) -> tuple:
     if command == "breather-return":
         solitons.breather_plan(params["epsilon"], params["omega_s"],
                                params["epsilon"] * params["nu"], params["periods"], params["dt"])
+    elif command == "soliton":
+        solitons.seed_signs(params["seed_sites"], params["n"])
+    elif command == "thresholds":
+        runs.append(_threshold_constants(params))
     elif command in ("simulate-dkg", "simulate-dnls"):
         runs.append(integrators.IntegratorConfig(params["dt"], params["t_end"], params["stride"]))
+        if command == "simulate-dnls":
+            runs.append(_dnls_model(params))
     return tuple(runs)
+
+
+def _dnls_model(p: dict):
+    """The envelope model of simulate-dnls; the standard and generalized
+    models warn outside their asymptotic range."""
+    if p["model"] == "normalform":
+        coeffs = normal_form.sqrt_circulant(p["n"], p["epsilon"])
+        b2 = float(coeffs.b[1]) if p["n"] >= 2 else None
+        return NormalFormDnls(coeffs.Omega, float(coeffs.b[0]), b2)
+    if p["model"] == "standard":
+        model = StandardDnls(p["nu"])
+    else:
+        model = GeneralizedDnls(p["delta"], p["epsilon"])
+    warn_outside_asymptotic_range(model, p["epsilon"])
+    return model
+
+
+def _threshold_constants(p: dict) -> normal_form.ThresholdConstants:
+    """The constants of thresholds, with C_zeta0 fitted when not given."""
+    coeffs = normal_form.sqrt_circulant(p["n"], p["epsilon"])
+    c_zeta0 = p["c_zeta0"]
+    if c_zeta0 is None:
+        cert = normal_form.decay_certificate(coeffs)
+        c_zeta0 = cert.C_fit if cert.C_fit > 0.0 else 1.0
+    return normal_form.thresholds(c_zeta0, p["c_h1"], p["epsilon"], coeffs.Omega)
 
 
 # --rho-rule value -> the regime whose window top eps^(p-1) it names
@@ -400,20 +435,12 @@ def parse_and_validate(argv=None) -> ExperimentConfig:
 # -- output helpers ------------------------------------------------------------
 
 
-def _finite_floats(value) -> bool:
-    """True when ``value`` is a non-empty list of finite Python floats, whose
-    JSON entries are their ``float.__repr__``."""
-    return type(value) is list and {*map(type, value)} == {float} and all(
-        map(math.isfinite, value))
-
-
-def _write_entries(fh, entries: list, fmt=None) -> None:
-    """Write a top-level JSON list of ``entries`` (strings, or values that
-    ``fmt`` formats), ``WRITE_CHUNK`` at a time."""
+def _write_entries(fh, entries: list[str]) -> None:
+    """Write a top-level JSON list of the strings ``entries``, ``WRITE_CHUNK``
+    at a time."""
     sep = "[\n    "
     for start in range(0, len(entries), WRITE_CHUNK):
-        chunk = entries[start:start + WRITE_CHUNK]
-        fh.write(sep + ",\n    ".join(map(fmt, chunk) if fmt else chunk))
+        fh.write(sep + ",\n    ".join(entries[start:start + WRITE_CHUNK]))
         sep = ",\n    "
     fh.write("\n  ]" if entries else "[]")
 
@@ -422,12 +449,10 @@ def _write_json(path: Path, payload: dict, config_hash: str) -> None:
     """Write ``{"config_hash": config_hash, **payload}`` (string keys) with
     the bytes of ``json.dumps(body, indent=2, sort_keys=True) + "\\n"``, so
     floats use shortest round-trip decimals.  A top-level :class:`FloatText`
-    of finite values writes its strings, and a top-level list of finite
-    Python floats its ``float.__repr__`` strings, ``WRITE_CHUNK`` entries per
-    write, so each float is formatted once and the file's text is never held
-    whole.  Every other value is ``json.dumps``-ed and re-indented at each
-    newline, all of which are layout, since JSON escapes a newline inside a
-    string."""
+    of finite values writes its strings, ``WRITE_CHUNK`` entries per write,
+    so each float is formatted once and the file's text is never held whole.
+    Every other value is ``json.dumps``-ed and re-indented at each newline,
+    all of which are layout, since JSON escapes a newline inside a string."""
     body = {"config_hash": config_hash, **payload}
     with open(path, "w") as fh:
         sep = "{\n  "
@@ -440,10 +465,7 @@ def _write_json(path: Path, payload: dict, config_hash: str) -> None:
                     _write_entries(fh, value.strings)
                     continue
                 value = value.values.tolist()  # json writes NaN and Infinity, not repr's
-            if _finite_floats(value):
-                _write_entries(fh, value, float.__repr__)
-            else:
-                fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+            fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
         fh.write("\n}\n")
 
 
@@ -567,19 +589,8 @@ def _cmd_simulate_dkg(cfg: ExperimentConfig) -> int:
 
 def _cmd_simulate_dnls(cfg: ExperimentConfig) -> int:
     p = cfg.params
-    (icfg,) = cfg.runs
-    n_half = p["n"]
-    if p["model"] == "standard":
-        model = StandardDnls(p["nu"])
-    elif p["model"] == "generalized":
-        model = GeneralizedDnls(p["delta"], p["epsilon"])
-    else:
-        coeffs = normal_form.sqrt_circulant(n_half, p["epsilon"])
-        b2 = float(coeffs.b[1]) if n_half >= 2 else None
-        model = NormalFormDnls(coeffs.Omega, float(coeffs.b[0]), b2)
-    if p["model"] != "normalform":
-        warn_outside_asymptotic_range(model, p["epsilon"])
-    a0 = _soliton_envelope(p["init"] == "onehot", p["amplitude"], p["omega_s"], n_half)
+    icfg, model = cfg.runs
+    a0 = _soliton_envelope(p["init"] == "onehot", p["amplitude"], p["omega_s"], p["n"])
     env0 = EnvelopeState(a0, 0.0)
     observers = [lambda t, s: {"norm_sq": l2_conserved(s.a)}]
     traj = integrators.integrate(env0, model, icfg, observers)
@@ -689,7 +700,7 @@ def _cmd_normalform(cfg: ExperimentConfig) -> int:
     p = cfg.params
     coeffs = normal_form.sqrt_circulant(p["n"], p["epsilon"])
     cert = normal_form.decay_certificate(coeffs)
-    payload = coeffs.to_json_dict()
+    payload = {**coeffs.to_json_dict(), "b": FloatText(coeffs.b)}
     payload["decay_certificate"] = {
         "C_fit": cert.C_fit,
         "holds": cert.holds,
@@ -707,13 +718,7 @@ def _cmd_normalform(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_thresholds(cfg: ExperimentConfig) -> int:
-    p = cfg.params
-    coeffs = normal_form.sqrt_circulant(p["n"], p["epsilon"])
-    c_zeta0 = p.get("c_zeta0")
-    if c_zeta0 is None:
-        cert = normal_form.decay_certificate(coeffs)
-        c_zeta0 = cert.C_fit if cert.C_fit > 0.0 else 1.0
-    consts = normal_form.thresholds(c_zeta0, p["c_h1"], p["epsilon"], coeffs.Omega)
+    (consts,) = cfg.runs
     _write_json(cfg.outdir / "thresholds.json", consts.to_json_dict(), cfg.config_hash)
     return 0
 
@@ -722,7 +727,8 @@ def _cmd_soliton(cfg: ExperimentConfig) -> int:
     p = cfg.params
     profile = solitons.solve_soliton(p["omega_s"], p["nu"], p["n"], p["seed_sites"])
     profile.write_csv(cfg.outdir / "soliton.csv", f"config_hash={cfg.config_hash}")
-    _write_json(cfg.outdir / "soliton.json", profile.to_json_dict(), cfg.config_hash)
+    payload = {**profile.to_json_dict(), "A": FloatText(profile.A)}
+    _write_json(cfg.outdir / "soliton.json", payload, cfg.config_hash)
     return 0
 
 

@@ -139,7 +139,7 @@ class StandardDnls:
             warnings.warn(
                 f"nu={self.nu} > 1 lies outside the asymptotic range of the "
                 "standard envelope reduction; run proceeds",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to the code building the model
             )
 
     @functools.cached_property
@@ -165,7 +165,7 @@ class GeneralizedDnls:
             warnings.warn(
                 f"delta={self.delta} > 1 lies outside the asymptotic range of "
                 "the generalized envelope reduction; run proceeds",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @functools.cached_property

@@ -54,6 +54,7 @@ __all__ = [
     "stationary_defect",
     "solve_soliton",
     "check_profile",
+    "seed_signs",
     "tail_decay_ratios",
     "build_breather_initial",
     "breather_plan",
@@ -113,13 +114,20 @@ def stationary_defect(A: np.ndarray, Omega_s: float, nu: float) -> np.ndarray:
     return -2.0 * Omega_s * A + 3.0 * nu * A**3 - np.roll(A, -1) - np.roll(A, 1)
 
 
-def _normalize_seed(seed_sites: Union[Iterable[int], Mapping[int, float]]) -> dict[int, float]:
+def seed_signs(seed_sites: Union[Iterable[int], Mapping[int, float]], N: int) -> dict[int, float]:
+    """The seed's sign on each site of ``seed_sites`` (sites, or a mapping
+    {site: sign}); ValueError for a zero sign or a site outside [-N, N].  It
+    allocates nothing, so a caller can check seeds before any work."""
     if isinstance(seed_sites, Mapping):
         out = {int(j): float(np.sign(s)) for j, s in seed_sites.items()}
         if any(s == 0.0 for s in out.values()):
             raise ValueError("seed signs must be nonzero")
-        return out
-    return {int(j): 1.0 for j in seed_sites}
+    else:
+        out = {int(j): 1.0 for j in seed_sites}
+    for j in out:
+        if not (-N <= j <= N):
+            raise ValueError(f"seed site {j} outside [-{N}, {N}]")
+    return out
 
 
 def check_profile(Omega_s: float, nu: float, N: int) -> None:
@@ -158,17 +166,15 @@ def solve_soliton(
     Jacobian raises :class:`NewtonSingularError`, and failure to reach a
     defect of 1e-10 within ``MAX_NEWTON_ITERATIONS`` raises
     :class:`NewtonDivergenceError` carrying the last iterate.  A profile that
-    :func:`check_profile` refuses raises ValueError before anything is
-    allocated.
+    :func:`check_profile` refuses, or seeds that :func:`seed_signs` refuses,
+    raise ValueError before anything is allocated.
     """
     check_profile(Omega_s, nu, N)
     n = 2 * N + 1
-    seeds = _normalize_seed(seed_sites)
+    seeds = seed_signs(seed_sites, N)
     A = np.zeros(n)
     amp = math.sqrt(2.0 * Omega_s / (3.0 * nu))
     for j, sign in seeds.items():
-        if not (-N <= j <= N):
-            raise ValueError(f"seed site {j} outside [-{N}, {N}]")
         A[j + N] = sign * amp
 
     if not seeds:

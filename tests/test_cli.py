@@ -763,10 +763,21 @@ class TestExitContract:
         (["simulate-dnls", "--t-end", "1e-5", "--n", "4"], "t_end=1e-05 must be >= dt=0.001"),
         (["simulate-dkg", "--t-end", "1e12", "--n", "4"], "above the ceiling of 100000000 steps"),
         (["simulate-dnls", "--stride", "0", "--n", "4"], "stride 0 must be >= 1"),
-    ], ids=["no-period", "past-horizon", "dkg-short", "dnls-short", "dkg-steps", "dnls-stride"])
+        (["simulate-dnls", "--nu", "0"], "nu=0.0 must be positive and finite"),
+        (["simulate-dnls", "--model", "generalized", "--delta", "-1"],
+         "delta=-1.0 must be positive and finite"),
+        (["thresholds", "--c-h1", "0"], "C_zeta0, C_h1 and Omega must be positive"),
+        (["thresholds", "--c-zeta0", "-1"], "C_zeta0, C_h1 and Omega must be positive"),
+        (["thresholds", "--epsilon", "0.3"], "f(eps)=0.02892 <= 1 at eps=0.3"),
+        (["soliton", "--n", "8", "--seed-sites", "9"], "seed site 9 outside [-8, 8]"),
+        (["soliton", "--n", "8", "--seed-sites", "0:0"], "seed signs must be nonzero"),
+    ], ids=["no-period", "past-horizon", "dkg-short", "dnls-short", "dkg-steps", "dnls-stride",
+            "nu-zero", "delta-negative", "c-h1-zero", "c-zeta0-negative", "f-eps",
+            "seed-site-outside", "seed-sign-zero"])
     def test_run_plan_refused_at_parse(self, argv, message, tmp_path, capsys):
         # these used to print the effective configuration and create out/
-        # before breather_return_error or IntegratorConfig refused the run
+        # before breather_return_error, IntegratorConfig, the envelope model,
+        # the threshold constants or solve_soliton refused the run
         code, out, err = run_cli([*argv, "--out", str(tmp_path / "out")], capsys)
         assert_one_error_line(code, err, message)
         assert out == ""

@@ -205,13 +205,17 @@ class TestValidationAndWarnings:
         with pytest.raises(ValueError):
             StandardDnls(0.0)
 
+    # each warning names the code that built the model, not the
+    # dataclass-generated __init__ ("<string>")
     def test_standard_warns_above_one(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             StandardDnls(1.5)
+        assert [w.filename for w in record] == [__file__]
 
     def test_generalized_warns_above_one(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             GeneralizedDnls(2.0, 0.1)
+        assert [w.filename for w in record] == [__file__]
 
     def test_normalform_sign_constraints(self):
         with pytest.raises(ValueError):

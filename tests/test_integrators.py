@@ -1,5 +1,6 @@
 """Verlet and RK4 steppers, trajectory driver, blow-up guard."""
 
+import ast
 import os
 import platform
 import re
@@ -419,16 +420,30 @@ class TestVerletKernel:
             b.imag[rng.random(n) < 0.1] = -0.0
             runs = []
             for kernels in (dispatched, plain):
-                m, x, xdot = np.empty((3, n))
+                x, xdot = np.empty((2, n))
                 out, step = np.empty((2, n), complex)
-                assert kernels.absolute(a, m)
+                # sup_abs of one entry between two zeros is the entry's |a|
+                m = [kernels.sup_abs(np.array([0j, v, 0j]), True) for v in a]
                 assert kernels.ansatz(a, adot, x, xdot, e1, e3, 0.3, 0.07)
                 assert kernels.flow(a, out, 0.025, 0.5, 0.0125, -0.15)
                 assert kernels.rk4(b, step, -0.05, 0.025, 0.5, 0.0125, -0.15)
                 sups = [kernels.sup_abs(a, True), kernels.sup_abs(a.real.copy(), False)]
-                runs.append((m, x, xdot, out.view(float), step.view(float), np.array(sups)))
+                runs.append((np.array(m), x, xdot, out.view(float), step.view(float),
+                             np.array(sups)))
             for got, want in zip(*runs):
                 assert got.tobytes() == want.tobytes()
+
+    def test_every_entry_point_has_a_caller(self):
+        # an entry point that only the probe and the tests call is code no run
+        # needs; each one must be called from a module other than _native
+        names = re.findall(r'\{"(\w+)", \(PyCFunction\)', _native.SOURCE.read_text())
+        called = set()
+        for path in _native.SOURCE.parent.glob("*.py"):
+            if path.name != "_native.py":
+                called.update(node.func.attr for node in ast.walk(ast.parse(path.read_text()))
+                              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute))
+        assert names
+        assert [name for name in names if name not in called] == []
 
     def test_source_ships_next_to_module(self):
         # an installed package builds the kernels from its own copy of the source

@@ -385,13 +385,13 @@ json_values = st.recursive(
 
 
 @st.composite
-def long_floats(draw):
+def long_floats(draw, special=floats):
     """A float list longer than one write chunk (or just short of it),
-    seeded with special values."""
+    seeded with values drawn from ``special``."""
     n = draw(st.sampled_from([WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1, 2 * WRITE_CHUNK + 3]))
     values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
     values = (values * 10.0 ** np.arange(-20, 21).repeat(n // 41 + 1)[:n]).tolist()
-    for value in draw(st.lists(floats, max_size=3)):
+    for value in draw(st.lists(special, max_size=3)):
         values[draw(st.integers(0, n - 1))] = value
     return values
 
@@ -399,8 +399,11 @@ def long_floats(draw):
 top_values = json_values | st.lists(floats) | st.lists(finite) | long_floats()
 
 
-@given(st.dictionaries(st.text(), top_values | st.lists(finite, min_size=1).map(FloatText),
-                       max_size=5))
+# a FloatText of finite values is the one vector _write_json streams in chunks
+float_texts = (st.lists(finite, min_size=1) | long_floats(finite)).map(FloatText)
+
+
+@given(st.dictionaries(st.text(), top_values | float_texts, max_size=5))
 @settings(max_examples=150)
 def test_write_json_matches_json_dumps(tmp_path_factory, payload):
     path = tmp_path_factory.mktemp("json") / "out.json"

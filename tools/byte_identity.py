@@ -14,8 +14,8 @@ directory, once per tree and per mode:
 - ``probe-failed``: as ``compiled``, but the runner first replaces
   ``dklab._native.complex_exact`` by a function that returns False, as when
   the probe finds the kernels' complex arithmetic unlike numpy's, so the
-  numpy |a|, ansatz and complex blow-up guard run next to the C kernels.  A
-  tree without that function ignores the replacement.
+  numpy stencil, RK4 step, ansatz and complex blow-up guard run next to the
+  real C kernels.  A tree without that function ignores the replacement.
 
 A run records its stdout, its stderr with the tree path and line numbers
 masked, its exit code, and every file and directory it leaves.  The script
