@@ -27,11 +27,11 @@
  * more sites, so the loops need no case for rings whose neighbours
  * coincide.
  *
- * advance_verlet keeps its work in L1.  A ring that fits there makes one
- * pass over the ring per step, strip by strip, so each strip's half-kick,
- * drift, force and second half-kick run while it is in L1; a larger ring,
- * in a call of several steps, advances block by block in time tiles of
- * several steps each (verlet_tiled).
+ * advance_verlet makes two passes over the ring per step, as numpy does
+ * (verlet): every site's half-kick and drift, then every site's force and
+ * second half-kick.  A ring whose x, y and f outgrow L1, in a call of
+ * several steps, advances instead block by block in time tiles of several
+ * steps each, so its work stays in L1 (verlet_tiled).
  * Its inner loops, and the float sup_abs, are written for gcc to vectorise
  * at -O3.  With GCC on x86-64 ELF, the Verlet loops are also built as
  * AVX-512 and AVX2 clones, and the float sup_abs as an AVX2 clone, that the
@@ -249,14 +249,10 @@ declined(int got)
 static inline double
 force(double left, double centre, double right, double eps, double rho)
 {
-    /* numpy: f = x[up]; f += x[dn]; f *= eps; f -= x; f -= ((x*x)*x)*rho */
+    /* numpy: f = (neighbor_sum(x) * eps - x) - x * x * x * rho, where
+     * neighbor_sum(x)[j] = x[j+1] + x[j-1] */
     return ((right + left) * eps - centre) - ((centre * centre) * centre) * rho;
 }
-
-/* Sites per strip of the one-pass Verlet loop: x, y and f of a strip take
- * 12 KiB, so a strip stays in L1 between its two halves. */
-#define STRIP 512
-
 
 /* First half-kick and drift of sites lo..hi-1. */
 static inline void
@@ -281,11 +277,9 @@ force_kick(const double *restrict x, double *restrict y, double *restrict f,
     }
 }
 
-/* One pass over the ring per step.  Sites 0, 1 and n-1 drift first and
- * site 0 takes its force; then each strip of interior sites drifts the
- * sites one ahead of it and takes its forces while they are still in L1;
- * site n-1 comes last.  Every site sees the operations of the two-pass
- * loop on the same operands, so the result is the same to the bit. */
+/* Two passes over the ring per step, as in _advance_verlet_numpy: every
+ * site's half-kick and drift, then every site's force and second
+ * half-kick, sites 0 and n-1 with their periodic neighbours. */
 static CLONES("avx512f", "avx2") void
 verlet(double *x, double *y, double *f, Py_ssize_t n, double eps, double rho,
        double dt, long long n_steps)
@@ -293,18 +287,10 @@ verlet(double *x, double *y, double *f, Py_ssize_t n, double eps, double rho,
     const double half = 0.5 * dt;
 
     for (long long step = 0; step < n_steps; step++) {
-        kick_drift(x, y, f, 0, 2, half, dt);
-        kick_drift(x, y, f, n - 1, n, half, dt);
+        kick_drift(x, y, f, 0, n, half, dt);
         f[0] = force(x[n - 1], x[0], x[1], eps, rho);
         y[0] += half * f[0];
-        for (Py_ssize_t lo = 1; lo < n - 1; lo += STRIP) {
-            Py_ssize_t hi = lo + STRIP < n - 1 ? lo + STRIP : n - 1;
-
-            /* sites 2..lo have drifted; drift up to hi, the last
-             * neighbour of the strip (n-1 has drifted already) */
-            kick_drift(x, y, f, lo + 1, hi < n - 1 ? hi + 1 : n - 1, half, dt);
-            force_kick(x, y, f, lo, hi, eps, rho, half);
-        }
+        force_kick(x, y, f, 1, n - 1, eps, rho, half);
         f[n - 1] = force(x[n - 2], x[n - 1], x[0], eps, rho);
         y[n - 1] += half * f[n - 1];
     }
@@ -319,20 +305,22 @@ verlet(double *x, double *y, double *f, Py_ssize_t n, double eps, double rho,
  * they go: block b takes its left halo from the original end of block b-1,
  * carried forward, and a block whose right halo wraps takes the ring's
  * head, saved before the first block.  Every site sees the operations of
- * the one-pass loop on the same operands, so the result is the same to the
+ * the two-pass loop on the same operands, so the result is the same to the
  * bit.
  *
- * The constants were measured on a 2-vCPU x86-64 host with AVX-512 and a
- * 48 KiB L1d (gcc 12.2), timing interleaved calls of the two loops.  In
- * calls of about 2e6 site-steps the one-pass loop runs a site-step in
- * 0.6-0.7 ns while x, y and f stay in L1 and in 1.0-1.2 ns beyond it, and
- * the tiles in 0.65-0.7 ns from 2048 sites up (0.85 ns at 1025): the two
- * break even between 1537 and 2048 sites, where x, y and f outgrow 48 KiB.
+ * The numbers below were measured on a 2-vCPU x86-64 host with AVX-512
+ * and a 48 KiB L1d (gcc 12.2), timing interleaved calls of the loops.
  * Blocks of 512 to 1024 sites with halos of 16 to 64 ran within the noise
- * of each other, except 1024 with 16 (8% slower).  Each tile copies its
- * blocks in and out, so a one-step call at 16385 sites took 31-40 us in
- * tiles against 18-23 us in one pass; the tiles break even at 4-5 steps
- * per call there and at 6 at 2049 sites. */
+ * of each other, except 1024 with 16 (8% slower).  In calls of about 2e6
+ * site-steps the two-pass loop runs a site-step in 0.5-0.55 ns up to 2049
+ * sites and in 1.25-1.35 ns from 4099 sites up, where x, y and f outgrow
+ * L1; the tiles run one in 0.5-0.54 ns in 100-step calls from 1537 sites
+ * up (0.68 ns at 1025).  Each tile copies its blocks in and out, so a
+ * one-step call at 16385 sites takes about 26 us in tiles against 21 us in
+ * two passes.  The tiles win at 4099 and 16385 sites from 3 steps per call,
+ * and the two passes at 2049 sites at every call length; so 3-5-step calls
+ * on rings of 4099 sites or more run in two passes about 1.7 times slower
+ * than they would in tiles. */
 #define BLOCK 1024
 #define HALO 32
 #define TILED_FROM 2048

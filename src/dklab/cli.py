@@ -635,7 +635,8 @@ def _eps_tag(eps: float) -> str:
 
 def _run_justify_sweep(cfg: ExperimentConfig) -> int:
     p = cfg.params
-    reports = [approximation.run_justification(run, _justify_envelope(p)) for run in cfg.runs]
+    a0 = _justify_envelope(p)
+    reports = [approximation.run_justification(run, a0) for run in cfg.runs]
 
     # fit before any write, so a failed fit leaves the output directory empty
     payload: dict = {"points": [r.summary_dict() for r in reports]}

@@ -31,11 +31,11 @@ The chain's step loop ``_advance_verlet``, the envelope step ``_rk4_step``
 (one call per step for the four stencils of ``dnls_models.rhs`` and the
 stages) and the blow-up guard run compiled kernels of the extension
 ``dklab._kernels``, which :mod:`dklab._native` builds from ``_kernels.c`` on
-first use (never at import). The Verlet kernel keeps its work in L1: a ring
-of fewer than 2048 sites makes one pass per step, strip by strip, and a
-larger one advances block by block in time tiles of up to 32 steps when a
-call runs 6 steps or more, in loops that gcc vectorises, with AVX-512 and
-AVX2 clones picked at load time on x86-64. The kernels perform numpy's
+first use (never at import). The Verlet kernel makes two passes over the
+ring per step, as ``_advance_verlet_numpy`` does; a ring of 2048 sites or
+more advances instead block by block in L1 time tiles of up to 32 steps when
+a call runs 6 steps or more. Its loops are ones gcc vectorises, with AVX-512
+and AVX2 clones picked at load time on x86-64. The kernels perform numpy's
 operations in the same order, so they are bit-identical to
 ``_advance_verlet_numpy``, ``_rk4_step_numpy`` and np.max(np.abs(arr)). The
 complex ones (the RK4 step, an envelope's guard) run only when
@@ -193,29 +193,12 @@ def _advance_verlet_numpy(
     n_steps: int,
 ) -> None:
     """The numpy form of ``_advance_verlet``, and the reference the C kernel
-    must match bit for bit.
-
-    It builds its periodic index maps and its scratch buffer once per call,
-    before the step loop, so the loop itself allocates nothing.
-    """
-    n = len(x)
-    up = np.arange(1, n + 1) % n
-    dn = np.arange(-1, n - 1) % n
-    tmp = np.empty(n)
+    must match bit for bit."""
     half = 0.5 * dt
     for _ in range(n_steps):
         y += half * f
         x += dt * y
-        # force(x) into f
-        np.take(x, up, out=f)
-        np.take(x, dn, out=tmp)
-        f += tmp
-        f *= epsilon
-        f -= x
-        np.multiply(x, x, out=tmp)
-        tmp *= x
-        tmp *= rho
-        f -= tmp
+        f[:] = (neighbor_sum(x) * epsilon - x) - x * x * x * rho
         y += half * f
 
 

@@ -533,8 +533,9 @@ class TestJustifyCommands:
             "justify-extended": ["justify-extended", "--epsilon", "0.1", "--n", "16",
                                  "--tau0", "0.05", "--dt", "5e-3", "--big-a", "0.05"],
             "dkg": ["simulate-dkg", "--n", "64", "--t-end", "2"],
-            # 1201 sites: the compiled Verlet loop runs three strips
-            "dkg-strips": ["simulate-dkg", "--n", "600", "--t-end", "1"],
+            # 1201 sites: a wide ring that the compiled two-pass Verlet
+            # loop takes, under the 2048 sites where the time tiles start
+            "dkg-wide": ["simulate-dkg", "--n", "600", "--t-end", "1"],
             "dnls-generalized": ["simulate-dnls", "--model", "generalized", "--n", "16",
                                  "--t-end", "1"],
             "dnls-normalform": ["simulate-dnls", "--model", "normalform", "--epsilon", "0.2",

@@ -89,7 +89,7 @@ def build_plain(tmp_path, monkeypatch):
 
 def assert_same_verlet(first, second):
     """``advance_verlet`` of two builds gives the same bits, signs of zeros
-    included, on rings in one pass and in time tiles."""
+    included, on rings in two passes and in time tiles."""
     rng = np.random.default_rng(12)
     for n in (1, 2, 3, 511, 514, 1025, kernel_constant("TILED_FROM"), 4099, 16385):
         x, y = rng.uniform(-1.0, 1.0, (2, n))
@@ -374,7 +374,7 @@ class TestVerletKernel:
         # on an AVX-512 or AVX2 CPU the loader picks the Verlet loops' clone
         # for it; a build of the source without the target_clones line runs
         # the plain loops, which must give the same bits, signs of zeros
-        # included, in one pass and in time tiles alike
+        # included, in two passes and in time tiles alike
         needs_cc_and_headers()
         dispatched = _native.kernels()
         if dispatched is None:

@@ -16,7 +16,6 @@ fails, and the Verlet loop time-reversible.
 import json
 import math
 import os
-import re
 import tempfile
 from unittest import mock
 
@@ -253,18 +252,14 @@ def _verlet_run(draw, x, y):
     return x, y, _dkg_force(x, epsilon, rho), epsilon, rho, dt, n_steps
 
 
-# sites per strip of the compiled Verlet loop
-STRIP = int(re.search(r"^#define STRIP (\d+)$", _native.SOURCE.read_text(), re.M).group(1))
-
-
 @st.composite
-def strip_chains(draw):
-    """Like chains(), at the lengths where the compiled Verlet loop's strips
-    end: STRIP - 1 .. STRIP + 3 and 2 STRIP + 1 sites (the interior sites
-    1..n-2 fill whole strips or spill into the next), with entries of -0.0.
+def wide_chains(draw):
+    """Like chains(), on rings wider than chains() draws, up to the widest
+    the compiled two-pass Verlet loop takes in calls of any length: 511..515,
+    1025 and 2047 sites, with entries of -0.0.
     The entries come from a drawn seed: hypothesis cannot draw a thousand
     floats per example."""
-    n = draw(st.sampled_from([STRIP - 1, STRIP, STRIP + 1, STRIP + 2, STRIP + 3, 2 * STRIP + 1]))
+    n = draw(st.sampled_from([511, 512, 513, 514, 515, 1025, 2047]))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     x, y = rng.uniform(-1.0, 1.0, (2, n))
     x[rng.random(n) < 0.05] = -0.0
@@ -273,7 +268,7 @@ def strip_chains(draw):
 
 
 @pytest.mark.skipif(verlet_backend() == "numpy", reason="no compiled Verlet kernel here")
-@given(run=chains() | strip_chains())
+@given(run=chains() | wide_chains())
 def test_compiled_verlet_matches_numpy(run):
     x, y, f, *params = run
     compiled = [x.copy(), y.copy(), f.copy()]
