@@ -32,16 +32,22 @@
  * second half-kick.  A ring whose x, y and f outgrow L1, in a call of
  * several steps, advances instead block by block in time tiles of several
  * steps each, so its work stays in L1 (verlet_tiled).
- * Its inner loops, and the float sup_abs, are written for gcc to vectorise
- * at -O3.  With GCC on x86-64 ELF, the Verlet loops are also built as
- * AVX-512 and AVX2 clones, and the float sup_abs as an AVX2 clone, that the
- * dynamic loader picks on CPUs that have them (target_clones); the library
- * is built without -mavx2, so it runs on any x86-64 CPU.
+ * Its inner loops, the stencil's site loop and the loops of sup_abs are
+ * written for gcc to vectorise at -O3: |a| (magnitude()) is a chain of
+ * selects, and the stencil's site loop is inlined once for each case of
+ * the terms numpy skips.  With GCC on x86-64 ELF, the Verlet loops are also
+ * built as AVX-512 and AVX2 clones, the stencil, the RK4 step and the
+ * complex sup_abs as AVX-512 and FMA clones, and the float sup_abs as an
+ * AVX2 clone, that the dynamic loader picks on CPUs that have them
+ * (target_clones); the library is built without -mavx2, so it runs on any
+ * x86-64 CPU.
  *
  * Every floating-point operation is the one numpy performs, in the same
  * order, so results agree with numpy bit for bit, signs of zeros included,
  * when built without FMA contraction (-ffp-contract=off) and without
- * -ffast-math; vectorising keeps each site's operations as they are.  Real
+ * -ffast-math; vectorising keeps each site's operations as they are.  The
+ * build's -fno-math-errno changes no result either: sqrt() never sets
+ * errno here, as its argument is at least 1 or NaN.  Real
  * arithmetic (advance_verlet, energy_density, a float sup_abs) is IEEE
  * arithmetic and needs nothing more.  Complex arithmetic follows what
  * numpy's CPU dispatch runs on x86-64 with FMA: its |a| is
@@ -62,11 +68,17 @@
 #include <string.h>
 
 /* The AVX-512 and AVX2 clones of the Verlet loops, the AVX2 clone of
- * largest_abs() and the FMA clones of the complex loops are picked by the
- * dynamic loader (an ifunc) on the CPU that runs them, so the library suits
- * every x86-64 machine.  An FMA clone computes fma() in one instruction
- * where the plain loop calls libm's, which rounds the same.  Other compilers
- * and platforms build the plain loops. */
+ * largest_abs() and the AVX-512 and FMA clones of the complex loops are
+ * picked by the dynamic loader (an ifunc) on the CPU that runs them, so the
+ * library suits every x86-64 machine.  The complex loops' second clone is
+ * "fma", not "avx2", as gcc's avx2 target does not enable FMA; the AVX-512
+ * and FMA clones compute fma() in one instruction where the plain loop
+ * calls libm's, which rounds the same.  gcc vectorises the loops of |a|
+ * (the stencil's site loop and the complex sup_abs) only in the AVX-512
+ * clones: it divides and takes square roots under magnitude()'s selects
+ * only with masked lanes, since either may trap; the FMA clone runs them
+ * one site at a time.  Other compilers and platforms build the plain
+ * loops. */
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__ELF__)
 #define CLONES(...) __attribute__((target_clones(__VA_ARGS__, "default")))
 #endif
@@ -115,20 +127,17 @@ cube(cplx a)
 }
 
 /* numpy's |v|: inf when a part is infinite, else NaN when a part is NaN,
- * else hi sqrt(1 + q^2) with q = lo/hi (0 when hi is 0) and 1 + q^2 fused */
+ * else hi sqrt(1 + q^2) with q = lo/hi (0 when hi is 0) and 1 + q^2 fused.
+ * Written as selects, without branches, so that a loop of it vectorises;
+ * sqrt's argument is at least 1 or NaN, so it never sets errno. */
 static inline double
 magnitude(cplx v)
 {
-    double re = fabs(v.re), im = fabs(v.im), hi, lo, q;
+    const double re = fabs(v.re), im = fabs(v.im);
+    const double hi = re > im ? re : im, lo = re > im ? im : re;
+    const double q = lo / (hi == 0.0 ? 1.0 : hi), m = hi * sqrt(fma(q, q, 1.0));
 
-    if (isinf(re) || isinf(im))
-        return INFINITY;
-    if (isnan(re) || isnan(im))
-        return NAN;
-    hi = re > im ? re : im;
-    lo = re > im ? im : re;
-    q = hi == 0.0 ? 0.0 : lo / hi;
-    return hi * sqrt(fma(q, q, 1.0));
+    return re == INFINITY || im == INFINITY ? INFINITY : re != re || im != im ? NAN : m;
 }
 
 /* -- argument handling --------------------------------------------------- */
@@ -309,22 +318,23 @@ verlet(double *x, double *y, double *f, Py_ssize_t n, double eps, double rho,
  * bit.
  *
  * The numbers below were measured on a 2-vCPU x86-64 host with AVX-512
- * and a 48 KiB L1d (gcc 12.2), timing interleaved calls of the loops.
- * Blocks of 512 to 1024 sites with halos of 16 to 64 ran within the noise
- * of each other, except 1024 with 16 (8% slower).  In calls of about 2e6
- * site-steps the two-pass loop runs a site-step in 0.5-0.55 ns up to 2049
- * sites and in 1.25-1.35 ns from 4099 sites up, where x, y and f outgrow
- * L1; the tiles run one in 0.5-0.54 ns in 100-step calls from 1537 sites
- * up (0.68 ns at 1025).  Each tile copies its blocks in and out, so a
- * one-step call at 16385 sites takes about 26 us in tiles against 21 us in
- * two passes.  The tiles win at 4099 and 16385 sites from 3 steps per call,
- * and the two passes at 2049 sites at every call length; so 3-5-step calls
- * on rings of 4099 sites or more run in two passes about 1.7 times slower
- * than they would in tiles. */
+ * and a 48 KiB L1d (gcc 12.2), timing interleaved calls of two builds, one
+ * that always runs two passes and one that always runs tiles, in calls of
+ * about 2e6 site-steps.  Blocks of 512 to 1024 sites with halos of 16 to 64
+ * ran within the noise of each other, except 1024 with 16 (8% slower).
+ * The two-pass loop runs a site-step in 0.6-0.7 ns at 2049 sites in most
+ * runs, where x, y and f just fill L1, and in 1.2-1.6 ns from 2305 sites
+ * up, where they outgrow it.  There the tiles win from 3 steps per call
+ * (1.0-1.3 ns; 0.6 ns in 100-step calls), while at 2049 sites the two
+ * passes win at every call length up to 12 steps and tie at 100.  Each
+ * tile copies its blocks in and out, so 1-step calls take 1.7-2.6 ns per
+ * site-step in tiles, slower than two passes at every ring size, and
+ * 2-step calls 1.2-1.6 ns, faster at 3073 and 16385 sites but not at 2561
+ * or 4099. */
 #define BLOCK 1024
 #define HALO 32
-#define TILED_FROM 2048
-#define TILED_STEPS 6
+#define TILED_FROM 2304
+#define TILED_STEPS 3
 
 static CLONES("avx512f", "avx2") void
 verlet_tiled(double *x, double *y, double *f, Py_ssize_t n, double eps, double rho,
@@ -395,39 +405,60 @@ advance_verlet(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
 /* -- dNLS stencil and RK4 step ------------------------------------------- */
 
 /* The stencil at site j, whose neighbours j-2, j-1, j+1 and j+2 on the
- * ring are dn2, dn1, up1 and up2. */
+ * ring are dn2, dn1, up1 and up2; numpy's _flow skips the c0 term unless
+ * with_c0 and the c2 term unless with_c2, the coefficients that are not
+ * zero. */
 static inline cplx
 stencil_site(const cplx *a, Py_ssize_t j, Py_ssize_t dn2, Py_ssize_t dn1, Py_ssize_t up1,
-             Py_ssize_t up2, const double *c)
+             Py_ssize_t up2, const double *c, int with_c0, int with_c2)
 {
     const cplx minus_i = {-0.0, -1.0}; /* numpy's -1j */
     /* neighbor_sum(a, k) is a[j+k] + a[j-k] on the ring */
     cplx grad = scale(c[1], add(a[up1], a[dn1]));
     double m = magnitude(a[j]);
 
-    /* numpy's _flow skips the c0 and c2 terms when they are zero */
-    if (c[0] != 0.0)
+    if (with_c0)
         grad = add(grad, scale(c[0], a[j]));
-    if (c[2] != 0.0)
+    if (with_c2)
         grad = add(grad, scale(c[2], add(a[up2], a[dn2])));
     /* g * |a|**2 is a real array, promoted to complex to multiply a */
     grad = add(grad, scale(c[3] * (m * m), a[j]));
     return mul(minus_i, grad);
 }
 
-/* The loop of flow, and each stage of rk4.  Only sites 0, 1, n-2 and n-1
- * wrap their neighbours (site 1 twice when n is 3). */
-static CLONES("fma") void
-stencil(const cplx *a, cplx *out, Py_ssize_t n, const double *c)
+/* The stencil of every site.  Only sites 0, 1, n-2 and n-1 wrap their
+ * neighbours (site 1 twice when n is 3).  Inlined with constant flags, so
+ * that the site loop has no branch and vectorises. */
+static inline __attribute__((always_inline)) void
+stencil_sites(const cplx *a, cplx *out, Py_ssize_t n, const double *c, int with_c0,
+              int with_c2)
 {
     for (Py_ssize_t j = 2; j < n - 2; j++)
-        out[j] = stencil_site(a, j, j - 2, j - 1, j + 1, j + 2, c);
+        out[j] = stencil_site(a, j, j - 2, j - 1, j + 1, j + 2, c, with_c0, with_c2);
     for (Py_ssize_t e = 0; e < 4; e++) {
         const Py_ssize_t j = e < 2 ? e : n - 4 + e;
 
         out[j] = stencil_site(a, j, (j - 2 + n) % n, (j - 1 + n) % n, (j + 1) % n,
-                              (j + 2) % n, c);
+                              (j + 2) % n, c, with_c0, with_c2);
     }
+}
+
+/* The loop of flow, and each stage of rk4. */
+static CLONES("avx512f", "fma") void
+stencil(const cplx *a, cplx *out, Py_ssize_t n, const double *coefficients)
+{
+    /* a copy, which out cannot alias, so the loop need not reload it */
+    const double c[4] = {coefficients[0], coefficients[1], coefficients[2],
+                         coefficients[3]};
+
+    if (c[0] != 0.0 && c[2] != 0.0)
+        stencil_sites(a, out, n, c, 1, 1);
+    else if (c[0] != 0.0)
+        stencil_sites(a, out, n, c, 1, 0);
+    else if (c[2] != 0.0)
+        stencil_sites(a, out, n, c, 0, 1);
+    else
+        stencil_sites(a, out, n, c, 0, 0);
 }
 
 static PyObject *
@@ -452,7 +483,7 @@ flow(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 /* numpy: k1 = f(a), k2 = f(a + (0.5*h)*k1), k3 = f(a + (0.5*h)*k2),
  * k4 = f(a + h*k3), out = a + (h/6.0)*(k1 + 2.0*k2 + 2.0*k3 + k4).  out
  * holds the running sum of the k's, s a stage and k its stencil. */
-static CLONES("fma") void
+static CLONES("avx512f", "fma") void
 rk4_step(const cplx *a, cplx *out, cplx *s, cplx *k, Py_ssize_t n, double h,
          const double *c)
 {
@@ -603,17 +634,6 @@ widest(double m, double v)
     return !(v <= m) & (m == m) ? v : m;
 }
 
-/* np.max(np.abs(a)): NaN as soon as one |a_j| is NaN */
-static CLONES("fma") double
-largest_magnitude(const cplx *a, Py_ssize_t n)
-{
-    double m = 0.0;
-
-    for (Py_ssize_t j = 0; j < n && !isnan(m); j++)
-        m = widest(m, magnitude(a[j]));
-    return m;
-}
-
 /* np.max(np.abs(x)) of a float vector.  Each of the LANES running maxima
  * turns NaN at its first NaN and stays NaN, so gcc vectorises the loop; a
  * maximum does not depend on the order it is taken in. */
@@ -633,6 +653,24 @@ largest_abs(const double *x, Py_ssize_t n)
     for (int l = 1; l < LANES; l++)
         m[0] = widest(m[0], m[l]);
     return m[0];
+}
+
+/* np.max(np.abs(a)) of a complex vector: the |a_j| of each block of BLOCK
+ * entries, in a loop that vectorises as the stencil's does, then their
+ * largest_abs. */
+static CLONES("avx512f", "fma") double
+largest_magnitude(const cplx *a, Py_ssize_t n)
+{
+    double mags[BLOCK], m = 0.0;
+
+    for (Py_ssize_t lo = 0; lo < n; lo += BLOCK) {
+        const Py_ssize_t len = n - lo < BLOCK ? n - lo : BLOCK;
+
+        for (Py_ssize_t j = 0; j < len; j++)
+            mags[j] = magnitude(a[lo + j]);
+        m = widest(m, largest_abs(mags, len));
+    }
+    return m;
 }
 
 static PyObject *

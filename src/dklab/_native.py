@@ -2,10 +2,13 @@
 ``_kernels.c`` (shipped next to this file), and probe its complex arithmetic.
 
 The extension is built on the first call of :func:`kernels`, never at
-import, with the system ``cc -O3 -ffp-contract=off -shared -fPIC`` against
-the running interpreter's headers and linked with ``-lm``, whose ``fma``
-rounds once on every CPU, into ``$XDG_CACHE_HOME/dklab/`` (default
-``~/.cache/dklab/``).  Its file name carries a hash of the source, the
+import, with the system ``cc -O3 -ffp-contract=off -fno-math-errno -shared
+-fPIC`` against the running interpreter's headers and linked with ``-lm``,
+whose ``fma`` rounds once on every CPU, into ``$XDG_CACHE_HOME/dklab/``
+(default ``~/.cache/dklab/``).  ``-fno-math-errno`` changes no result, as
+no ``sqrt`` argument in the kernels is negative, and lets gcc vectorise the
+square root of numpy's complex |a|.
+Its file name carries a hash of the source, the
 flags, the machine type and the interpreter's extension suffix, so a changed
 source or another interpreter builds its own library.  The flags name no
 instruction set: with GCC on x86-64 the loops carry AVX-512, AVX2 or FMA
@@ -40,7 +43,7 @@ import os
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernels.c")
-FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC", "-lm")
+FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC", "-lm")
 
 
 @functools.cache

@@ -701,7 +701,7 @@ def _cmd_normalform(cfg: ExperimentConfig) -> int:
     p = cfg.params
     coeffs = normal_form.sqrt_circulant(p["n"], p["epsilon"])
     cert = normal_form.decay_certificate(coeffs)
-    payload = {**coeffs.to_json_dict(), "b": FloatText(coeffs.b)}
+    payload = coeffs.to_json_payload()
     payload["decay_certificate"] = {
         "C_fit": cert.C_fit,
         "holds": cert.holds,
@@ -709,10 +709,11 @@ def _cmd_normalform(cfg: ExperimentConfig) -> int:
         "m_checked": cert.m_checked,
     }
     _write_json(cfg.outdir / "normalform.json", payload, cfg.config_hash)
+    m, _, scale = zip(*coeffs.decay_table())
     write_csv(
         cfg.outdir / "decay.csv",
         ("m", "b_m", "decay_scale"),
-        zip(*coeffs.decay_table()),
+        (m, coeffs.text, scale),
         [f"config_hash={cfg.config_hash}"],
     )
     return 0
@@ -728,8 +729,7 @@ def _cmd_soliton(cfg: ExperimentConfig) -> int:
     p = cfg.params
     profile = solitons.solve_soliton(p["omega_s"], p["nu"], p["n"], p["seed_sites"])
     profile.write_csv(cfg.outdir / "soliton.csv", f"config_hash={cfg.config_hash}")
-    payload = {**profile.to_json_dict(), "A": FloatText(profile.A)}
-    _write_json(cfg.outdir / "soliton.json", payload, cfg.config_hash)
+    _write_json(cfg.outdir / "soliton.json", profile.to_json_payload(), cfg.config_hash)
     return 0
 
 

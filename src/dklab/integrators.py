@@ -32,9 +32,9 @@ The chain's step loop ``_advance_verlet``, the envelope step ``_rk4_step``
 stages) and the blow-up guard run compiled kernels of the extension
 ``dklab._kernels``, which :mod:`dklab._native` builds from ``_kernels.c`` on
 first use (never at import). The Verlet kernel makes two passes over the
-ring per step, as ``_advance_verlet_numpy`` does; a ring of 2048 sites or
+ring per step, as ``_advance_verlet_numpy`` does; a ring of 2304 sites or
 more advances instead block by block in L1 time tiles of up to 32 steps when
-a call runs 6 steps or more. Its loops are ones gcc vectorises, with AVX-512
+a call runs 3 steps or more. Its loops are ones gcc vectorises, with AVX-512
 and AVX2 clones picked at load time on x86-64. The kernels perform numpy's
 operations in the same order, so they are bit-identical to
 ``_advance_verlet_numpy``, ``_rk4_step_numpy`` and np.max(np.abs(arr)). The

@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ThresholdError
-from .lattice_core import LatticeState, _frozen_vector
+from .lattice_core import FloatText, LatticeState, _frozen_vector
 
 __all__ = [
     "NormalFormCoeffs",
@@ -92,13 +93,19 @@ class NormalFormCoeffs:
         if len(self.b) != self.N or len(self.omega_modes) != 2 * self.N + 1:
             raise ValueError("coefficient arrays have inconsistent lengths")
 
+    @cached_property
+    def text(self) -> FloatText:
+        """b as :class:`FloatText`, which the writers of the coefficients'
+        JSON file and of their decay table share."""
+        return FloatText(self.b)
+
     def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "epsilon": self.epsilon,
-            "Omega": self.Omega,
-            "b": self.b.tolist(),
-        }
+        return {**self.to_json_payload(), "b": self.b.tolist()}
+
+    def to_json_payload(self) -> dict:
+        """:meth:`to_json_dict` with b as :attr:`text`, for
+        ``cli._write_json``."""
+        return {"N": self.N, "epsilon": self.epsilon, "Omega": self.Omega, "b": self.text}
 
     def decay_table(self) -> list[tuple[int, float, float]]:
         """Rows (m, b_m, (2 eps)^m) for decay plots."""

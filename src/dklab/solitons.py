@@ -37,7 +37,8 @@ goes through :func:`dklab.integrators.integrate` and its blow-up guard.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -99,13 +100,25 @@ class SolitonProfile:
     def n_half(self) -> int:
         return len(self.A) // 2
 
+    @cached_property
+    def text(self) -> FloatText:
+        """A as :class:`FloatText`, which the writers of the profile's CSV and
+        JSON files share."""
+        return FloatText(self.A)
+
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "A": self.A.tolist()}
+        return {**self.to_json_payload(), "A": self.A.tolist()}
+
+    def to_json_payload(self) -> dict:
+        """:meth:`to_json_dict` with A as :attr:`text`, for
+        ``cli._write_json``."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "A": self.text}
 
     def write_csv(self, path, header_comment: str | None = None) -> None:
+        """Columns j, A; A is :attr:`text`."""
         comments = [header_comment] if header_comment else []
         sites = range(-self.n_half, len(self.A) - self.n_half)
-        write_csv(path, ("j", "A"), (sites, FloatText(self.A)), comments)
+        write_csv(path, ("j", "A"), (sites, self.text), comments)
 
 
 def stationary_defect(A: np.ndarray, Omega_s: float, nu: float) -> np.ndarray:

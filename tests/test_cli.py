@@ -534,7 +534,7 @@ class TestJustifyCommands:
                                  "--tau0", "0.05", "--dt", "5e-3", "--big-a", "0.05"],
             "dkg": ["simulate-dkg", "--n", "64", "--t-end", "2"],
             # 1201 sites: a wide ring that the compiled two-pass Verlet
-            # loop takes, under the 2048 sites where the time tiles start
+            # loop takes, under the 2304 sites where the time tiles start
             "dkg-wide": ["simulate-dkg", "--n", "600", "--t-end", "1"],
             "dnls-generalized": ["simulate-dnls", "--model", "generalized", "--n", "16",
                                  "--t-end", "1"],

@@ -108,6 +108,39 @@ def assert_same_verlet(first, second):
                 assert np.array_equal(a, b)
 
 
+def assert_same_complex(first, second):
+    """The complex kernels of two builds, and the float ``sup_abs``, give
+    the same bits, signs of zeros included: |a| of single entries from
+    1e-100 to 1e100, ``ansatz``, ``flow`` and ``rk4`` with each of c0 and c2
+    zero or not, and the guard's maxima."""
+    rng = np.random.default_rng(13)
+    e1, e3 = complex(np.exp(0.7j)), complex(np.exp(2.1j))
+    for n in (3, 33, 129):
+        a = np.empty(n, complex)
+        a.real, a.imag = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-100, 100, (2, n))
+        a.real[rng.random(n) < 0.1] = -0.0
+        adot = a[::-1].copy()
+        # an envelope whose RK4 stages stay finite, down to subnormals
+        b = np.empty(n, complex)
+        b.real, b.imag = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-320, 1, (2, n))
+        b.imag[rng.random(n) < 0.1] = -0.0
+        runs = []
+        for kernels in (first, second):
+            x, xdot = np.empty((2, n))
+            out, step = np.empty((2, 4, n), complex)
+            # sup_abs of one entry between two zeros is the entry's |a|
+            m = [kernels.sup_abs(np.array([0j, v, 0j]), True) for v in a]
+            assert kernels.ansatz(a, adot, x, xdot, e1, e3, 0.3, 0.07)
+            for i, (c0, c2) in enumerate([(0.025, 0.0125), (0.0, 0.0), (0.025, 0.0),
+                                          (0.0, 0.0125)]):
+                assert kernels.flow(a, out[i], c0, 0.5, c2, -0.15)
+                assert kernels.rk4(b, step[i], -0.05, c0, 0.5, c2, -0.15)
+            sups = [kernels.sup_abs(a, True), kernels.sup_abs(a.real.copy(), False)]
+            runs.append((np.array(m), x, xdot, out, step, np.array(sups)))
+        for got, want in zip(*runs):
+            assert got.tobytes() == want.tobytes()
+
+
 def duffing_reference(x0, v0, rho, t_end, dt=1e-6):
     """Independent scalar oracle: classical RK4 at a tiny fixed step on
     x'' = -x - rho x^3 (an uncoupled site of the chain), on Python floats."""
@@ -382,56 +415,35 @@ class TestVerletKernel:
         assert_same_verlet(dispatched, build_plain(tmp_path, monkeypatch))
 
     def test_avx2_clone_matches_plain(self, tmp_path, monkeypatch):
-        # an AVX-512 CPU runs the Verlet loops' AVX-512 clone, so their AVX2
-        # clone would run only on other CPUs; a build whose clone list names
-        # only "avx2" (and "default") makes the loader pick it here
+        # an AVX-512 CPU runs the Verlet loops' and the complex loops'
+        # AVX-512 clones, so their AVX2 and FMA clones would run only on
+        # other CPUs; a build whose clone lists name only "avx2" and "fma"
+        # (and "default") makes the loader pick those here
         needs_cc_and_headers()
-        if platform.machine() != "x86_64" or "avx2" not in cpu_flags():
-            pytest.skip("no AVX2 on this CPU")
+        if platform.machine() != "x86_64" or not {"avx2", "fma"} <= cpu_flags():
+            pytest.skip("no AVX2 and FMA on this CPU")
         source = _native.SOURCE.read_text()
         clones = 'static CLONES("avx512f", "avx2") void'
         assert source.count(clones) == 2  # verlet and verlet_tiled
+        complex_clones = 'CLONES("avx512f", "fma")'
+        assert source.count(complex_clones) == 3  # stencil, rk4_step, largest_magnitude
         plain = build_plain(tmp_path / "plain", monkeypatch)
         avx2 = build_source(tmp_path / "avx2", monkeypatch,
-                            source.replace(clones, 'static CLONES("avx2") void'))
+                            source.replace(clones, 'static CLONES("avx2") void')
+                            .replace(complex_clones, 'CLONES("fma")'))
         assert_same_verlet(avx2, plain)
+        assert_same_complex(avx2, plain)
 
     def test_plain_complex_loops_match_dispatched(self, tmp_path, monkeypatch):
-        # with FMA the loader picks the complex loops' FMA clones, which
-        # compute fma() in one instruction; a build without the clones
+        # with FMA the loader picks the complex loops' AVX-512 or FMA clones,
+        # which compute fma() in one instruction; a build without the clones
         # calls libm's fma, which must round the same, signs of zeros included
         # (and the float guard's AVX2 clone must find the same maximum)
         needs_cc_and_headers()
         dispatched = _native.kernels()
         if dispatched is None:
             pytest.skip("the extension does not build here")
-        plain = build_plain(tmp_path, monkeypatch)
-
-        rng = np.random.default_rng(13)
-        e1, e3 = complex(np.exp(0.7j)), complex(np.exp(2.1j))
-        for n in (3, 33, 129):
-            a = np.empty(n, complex)
-            a.real, a.imag = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-100, 100, (2, n))
-            a.real[rng.random(n) < 0.1] = -0.0
-            adot = a[::-1].copy()
-            # an envelope whose RK4 stages stay finite, down to subnormals
-            b = np.empty(n, complex)
-            b.real, b.imag = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-320, 1, (2, n))
-            b.imag[rng.random(n) < 0.1] = -0.0
-            runs = []
-            for kernels in (dispatched, plain):
-                x, xdot = np.empty((2, n))
-                out, step = np.empty((2, n), complex)
-                # sup_abs of one entry between two zeros is the entry's |a|
-                m = [kernels.sup_abs(np.array([0j, v, 0j]), True) for v in a]
-                assert kernels.ansatz(a, adot, x, xdot, e1, e3, 0.3, 0.07)
-                assert kernels.flow(a, out, 0.025, 0.5, 0.0125, -0.15)
-                assert kernels.rk4(b, step, -0.05, 0.025, 0.5, 0.0125, -0.15)
-                sups = [kernels.sup_abs(a, True), kernels.sup_abs(a.real.copy(), False)]
-                runs.append((np.array(m), x, xdot, out.view(float), step.view(float),
-                             np.array(sups)))
-            for got, want in zip(*runs):
-                assert got.tobytes() == want.tobytes()
+        assert_same_complex(dispatched, build_plain(tmp_path, monkeypatch))
 
     def test_every_entry_point_has_a_caller(self):
         # an entry point that only the probe and the tests call is code no run

@@ -7,7 +7,8 @@ conservation of every envelope right-hand side, the CSV and JSON
 round trips of the chain and envelope states, the identity of the direct
 and expanded residuals, the justify family's rho windows, and the compiled
 kernels: the chain's Verlet loop, the envelope stencil, the RK4 step, the
-ansatz and the error energy, each bit-identical to its numpy reference, the
+complex max |entry|, the ansatz and the error energy, each bit-identical to
+its numpy reference (the middle three on inf and NaN parts too), the
 blow-up guard deciding as numpy does, the co-integration and the envelope
 integration giving the same bits when the probe of the complex kernels
 fails, and the Verlet loop time-reversible.
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import tempfile
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -43,6 +45,7 @@ from dklab.dnls_models import (
     NormalFormDnls,
     StandardDnls,
     _flow,
+    _rhs_numpy,
     l2_conserved,
     rhs,
 )
@@ -117,6 +120,13 @@ def _same_bits(u, v):
         and np.array_equal(u.view(float), v.view(float))
         and np.array_equal(np.signbit(u.view(float)), np.signbit(v.view(float)))
     )
+
+
+def _same_bits_or_nan(u, v):
+    """_same_bits, except that a NaN matches a NaN of any sign or payload."""
+    u, v = u.view(float), v.view(float)
+    nan = np.isnan(u)
+    return np.array_equal(nan, np.isnan(v)) and _same_bits(u[~nan], v[~nan])
 
 
 @given(v=real_vectors | envelopes(), k=st.sampled_from([1, 2]))
@@ -256,10 +266,10 @@ def _verlet_run(draw, x, y):
 def wide_chains(draw):
     """Like chains(), on rings wider than chains() draws, up to the widest
     the compiled two-pass Verlet loop takes in calls of any length: 511..515,
-    1025 and 2047 sites, with entries of -0.0.
+    1025, 2047 and 2303 sites, with entries of -0.0.
     The entries come from a drawn seed: hypothesis cannot draw a thousand
     floats per example."""
-    n = draw(st.sampled_from([511, 512, 513, 514, 515, 1025, 2047]))
+    n = draw(st.sampled_from([511, 512, 513, 514, 515, 1025, 2047, 2303]))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     x, y = rng.uniform(-1.0, 1.0, (2, n))
     x[rng.random(n) < 0.05] = -0.0
@@ -308,6 +318,70 @@ def test_verlet_time_reversible(run):
 no_complex_kernels = pytest.mark.skipif(
     not _native.complex_exact(), reason="no kernels with numpy's complex arithmetic here"
 )
+
+
+# parts that the complex kernels must treat as numpy does
+SPECIAL_PARTS = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
+                 np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def kernel_envelopes(draw):
+    """Envelopes of 3..300 sites at a magnitude from subnormal to 1e160, a
+    few of whose parts are +-0.0, subnormals, huge, +-inf or NaN, and some
+    with a zero imaginary part.  The bulk comes from a drawn seed, as in
+    wide_chains()."""
+    n = draw(st.integers(min_value=3, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scale = draw(st.sampled_from([5e-324, 1e-310, 1e-15, 1e-3, 1.0, 1e2, 1e160]))
+    a = np.empty(n, complex)  # set part by part: complex arithmetic would flip -0.0
+    a.real = scale * rng.uniform(-2.0, 2.0, n)
+    a.imag = draw(st.sampled_from([0.0, -0.0])) if draw(st.booleans()) else (
+        scale * rng.uniform(-2.0, 2.0, n))
+    parts = (a.real, a.imag)
+    for j, imag, value in draw(st.lists(st.tuples(
+            st.integers(min_value=0, max_value=n - 1), st.booleans(),
+            st.sampled_from(SPECIAL_PARTS)), max_size=6)):
+        parts[imag][j] = value
+    return a
+
+
+@st.composite
+def stencil_coefficients(draw):
+    """(c0, c1, c2, g), with c0 and c2 each zero (of either sign) or not."""
+    zero = st.sampled_from([0.0, -0.0])
+    c0 = draw(zero if draw(st.booleans()) else st.floats(min_value=-2.0, max_value=2.0))
+    c1 = draw(st.floats(min_value=-1.0, max_value=1.0))
+    c2 = draw(zero if draw(st.booleans()) else st.floats(min_value=-0.5, max_value=0.5))
+    return c0, c1, c2, draw(st.floats(min_value=-2.0, max_value=2.0))
+
+
+@no_complex_kernels
+@given(c=stencil_coefficients(), a=kernel_envelopes(),
+       h=st.floats(min_value=1e-4, max_value=0.1) | st.floats(min_value=-0.1, max_value=-1e-4))
+# a zero c0 term, were it added, would turn the signs of these zeros
+@example(c=(0.0, -0.0, -0.5, -0.0), h=0.0625,
+         a=np.array([complex(5e-324, -1e-323), complex(-5e-324, 5e-324),
+                     complex(-1e-323, 1e-323)]))
+# |inf + inf i| is inf, where hi sqrt(1 + (lo/hi)^2) would be NaN
+@example(c=(0.0, 0.5, 0.0, -1.5), h=0.0625,
+         a=np.array([complex(np.inf, np.inf), complex(-5e-324, 5e-324),
+                     complex(-1e-323, 1e-323)]))
+def test_complex_kernels_match_numpy(c, a, h):
+    # flow, rk4 and the complex sup_abs against the numpy forms they stand
+    # for, bit for bit, on any ring length, for each case of the stencil's
+    # skipped terms; a NaN matches a NaN of either sign, since an operation
+    # on two NaNs returns one of them by its operand order
+    kernels = _native.kernels()
+    model = SimpleNamespace(coefficients=c)  # all the numpy forms read
+    out, step = np.empty((2, len(a)), complex)
+    assert kernels.flow(a, out, *c)
+    assert kernels.rk4(a, step, h, *c)
+    with np.errstate(all="ignore"):
+        assert _same_bits_or_nan(out, _rhs_numpy(model, a))
+        assert _same_bits_or_nan(step, _rk4_step_numpy(a, model, h))
+        sup = np.array([kernels.sup_abs(a, True)])
+        assert _same_bits_or_nan(sup, np.array([np.max(np.abs(a))]))
 
 
 @st.composite
