@@ -43,9 +43,15 @@
  * x86-64 CPU.
  *
  * Every floating-point operation is the one numpy performs, in the same
- * order, so results agree with numpy bit for bit, signs of zeros included,
- * when built without FMA contraction (-ffp-contract=off) and without
- * -ffast-math; vectorising keeps each site's operations as they are.  The
+ * order, so finite results and the positions of NaNs agree with numpy bit
+ * for bit, signs of zeros included, when built without FMA contraction
+ * (-ffp-contract=off) and without -ffast-math; vectorising keeps each
+ * site's operations as they are.  A NaN's sign can differ: an operation on
+ * two NaNs returns one of them by operand order, which C and numpy's loops
+ * need not share (rk4 on a = [1e300-1e-323i, -5e-324+5e-324i,
+ * -1e-323+1e-323i] with zero coefficients and h = 0.0625 returns 0x7ff8...
+ * in all six parts, numpy 0xfff8... in four).  No output byte shows it, as
+ * the writers spell every NaN alike.  The
  * build's -fno-math-errno changes no result either: sqrt() never sets
  * errno here, as its argument is at least 1 or NaN.  Real
  * arithmetic (advance_verlet, energy_density, a float sup_abs) is IEEE

@@ -136,7 +136,12 @@ def leading_order(
 
     The conjugate-pair structure makes X and X' exactly real.  Runs the
     compiled ``ansatz`` when ``_native.complex_exact()`` holds and the
-    arrays suit it, else ``_ansatz_numpy``; both give bit-identical results.
+    arrays suit it, else ``_ansatz_numpy``.  Both gave bit-identical results
+    on every finite ``a`` and ``adot`` tried; with an infinite or NaN entry
+    the NaN positions agree but a NaN's sign can differ (never an output
+    byte): at t = 0.5, rho = 0.25, eps = 0.0625, a = [1j inf, 0, 0]
+    and adot = [1j nan, 0, 0] the compiled X'_0 is 0xfff8..., numpy's
+    0x7ff8....
     """
     a = np.asarray(a, dtype=complex)
     adot = np.asarray(adot, dtype=complex)

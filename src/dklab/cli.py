@@ -435,22 +435,23 @@ def parse_and_validate(argv=None) -> ExperimentConfig:
 # -- output helpers ------------------------------------------------------------
 
 
-def _write_entries(fh, entries: list[str]) -> None:
-    """Write a top-level JSON list of the strings ``entries``, ``WRITE_CHUNK``
-    at a time."""
+def _write_entries(fh, chunks: list[str]) -> None:
+    """Write a top-level JSON list of the newline-joined entries of
+    ``chunks`` (:attr:`FloatText.chunks`), one chunk per write."""
     sep = "[\n    "
-    for start in range(0, len(entries), WRITE_CHUNK):
-        fh.write(sep + ",\n    ".join(entries[start:start + WRITE_CHUNK]))
+    for chunk in chunks:
+        fh.write(sep + chunk.replace("\n", ",\n    "))
         sep = ",\n    "
-    fh.write("\n  ]" if entries else "[]")
+    fh.write("\n  ]" if chunks else "[]")
 
 
 def _write_json(path: Path, payload: dict, config_hash: str) -> None:
     """Write ``{"config_hash": config_hash, **payload}`` (string keys) with
     the bytes of ``json.dumps(body, indent=2, sort_keys=True) + "\\n"``, so
     floats use shortest round-trip decimals.  A top-level :class:`FloatText`
-    of finite values writes its strings, ``WRITE_CHUNK`` entries per write,
-    so each float is formatted once and the file's text is never held whole.
+    of finite values writes its :attr:`~FloatText.chunks`, ``WRITE_CHUNK``
+    newline-joined entries per write, so each float is formatted once, no
+    string is held per float and the file's text is never held whole.
     Every other value is ``json.dumps``-ed and re-indented at each newline,
     all of which are layout, since JSON escapes a newline inside a string."""
     body = {"config_hash": config_hash, **payload}
@@ -462,7 +463,7 @@ def _write_json(path: Path, payload: dict, config_hash: str) -> None:
             value = body[key]
             if isinstance(value, FloatText):
                 if np.isfinite(value.values).all():
-                    _write_entries(fh, value.strings)
+                    _write_entries(fh, value.chunks)
                     continue
                 value = value.values.tolist()  # json writes NaN and Infinity, not repr's
             fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))

@@ -24,8 +24,11 @@ when :func:`dklab._native.complex_exact` has found the kernels' complex
 arithmetic equal to numpy's in this process and ``a`` is a contiguous
 complex128 vector of 3 or more sites; otherwise, and for
 ``second_derivative``, it runs the numpy ``_flow``.  Both perform the same
-operations in the same order, so they agree bit for bit.  Each model
-computes its ``coefficients`` once.
+operations in the same order, so finite results and the positions of NaNs
+agree bit for bit; only a NaN's sign can differ, as an operation on two
+NaNs returns one of them by operand order, and no output byte shows it
+(the writers spell every NaN alike).  Each model computes its
+``coefficients`` once.
 
 Every right-hand side conserves the squared l2 norm of the envelope, is
 equivariant under cyclic shifts, and is invariant under global phase
@@ -247,7 +250,8 @@ def rhs(model: DnlsModel, a: np.ndarray) -> np.ndarray:
 
     Runs the compiled ``flow`` when ``_native.complex_exact()`` holds and
     ``a`` is a contiguous complex128 vector of 3 or more sites, else
-    ``_rhs_numpy``; both give bit-identical results.
+    ``_rhs_numpy``; both give the same finite results and NaN positions,
+    bit for bit, but a NaN's sign can differ (never an output byte).
     """
     if _native.complex_exact():
         out = np.empty(len(a), complex)

@@ -37,7 +37,8 @@ more advances instead block by block in L1 time tiles of up to 32 steps when
 a call runs 3 steps or more. Its loops are ones gcc vectorises, with AVX-512
 and AVX2 clones picked at load time on x86-64. The kernels perform numpy's
 operations in the same order, so they are bit-identical to
-``_advance_verlet_numpy``, ``_rk4_step_numpy`` and np.max(np.abs(arr)). The
+``_advance_verlet_numpy``, ``_rk4_step_numpy`` and np.max(np.abs(arr)),
+except that the RK4 step's NaNs can differ in sign (no output byte does). The
 complex ones (the RK4 step, an envelope's guard) run only when
 :func:`dklab._native.complex_exact` has found their arithmetic equal to
 numpy's. Without that, without the
@@ -207,7 +208,9 @@ def _rk4_step(a: np.ndarray, model: DnlsModel, h: float) -> np.ndarray:
 
     Runs the compiled ``rk4`` when ``_native.complex_exact()`` holds and
     ``a`` is a contiguous complex128 vector of 3 or more sites, else
-    ``_rk4_step_numpy``; both give bit-identical results.
+    ``_rk4_step_numpy``; both give the same finite results and NaN
+    positions, bit for bit, but a NaN's sign can differ (never an output
+    byte; the ``_kernels.c`` header gives a case).
     """
     if _native.complex_exact():
         out = np.empty(len(a), complex)

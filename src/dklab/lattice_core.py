@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, takewhile
+from itertools import takewhile
 from typing import NamedTuple
 
 import numpy as np
@@ -75,36 +75,48 @@ def neighbor_sum(arr: np.ndarray, k: int = 1) -> np.ndarray:
 
 
 # Entries of a float list (JSON) or rows (CSV) that a bulk writer joins and
-# writes at a time, so no writer holds a whole file's text.
+# writes at a time, so no writer holds a whole file's text; also the floats
+# of one FloatText chunk, so a chunk's text is one write.
 WRITE_CHUNK = 2048
 
 
 class FloatText:
-    """A float vector and its text: ``strings`` holds the shortest round-trip
-    decimal (``float.__repr__``) of each entry, formatted on first use, so a
-    vector that two files share is formatted once."""
+    """A float vector and its text: ``chunks`` holds the shortest round-trip
+    decimals (``float.__repr__``) of the entries, ``WRITE_CHUNK`` entries per
+    chunk joined by newlines, formatted on first use, so a vector that two
+    files share is formatted once and its text takes one string per chunk,
+    not one per float."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
+    def __len__(self) -> int:
+        return len(self.values)
+
     @cached_property
-    def strings(self) -> list[str]:
-        return list(map(float.__repr__, self.values.tolist()))
+    def chunks(self) -> list[str]:
+        v = self.values
+        return ["\n".join(map(float.__repr__, v[i:i + WRITE_CHUNK].tolist()))
+                for i in range(0, len(v), WRITE_CHUNK)]
 
 
 def write_csv(path, header, columns, comments=()) -> None:
     """Write one ``# {c}`` line per comment, the comma-joined header, then
     one line per row: the fields of ``columns`` zipped and comma-joined,
-    ``WRITE_CHUNK`` rows per write.  A column is a :class:`FloatText` or a
-    sequence of Python scalars written by ``repr``, so floats use shortest
-    round-trip decimals."""
-    rows = zip(*(c.strings if isinstance(c, FloatText) else map(repr, c) for c in columns))
+    ``WRITE_CHUNK`` rows per write.  A column is a :class:`FloatText`, whose
+    chunk each write splits, or a sequence of Python scalars written by
+    ``repr`` one slice per write, so floats use shortest round-trip decimals
+    and no column's text is held one string per float."""
+    columns = list(columns)
+    n_rows = min(map(len, columns), default=0)
     with open(path, "w", newline="") as fh:
         for c in comments:
             fh.write(f"# {c}\n")
         fh.write(",".join(header) + "\n")
-        while chunk := list(islice(rows, WRITE_CHUNK)):
-            fh.write("\n".join(map(",".join, chunk)) + "\n")
+        for start in range(0, n_rows, WRITE_CHUNK):
+            fields = [c.chunks[start // WRITE_CHUNK].split("\n") if isinstance(c, FloatText)
+                      else map(repr, c[start:start + WRITE_CHUNK]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def read_csv(path) -> tuple[dict[str, str], list[list[str]]]:

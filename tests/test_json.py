@@ -15,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dklab import approximation, cli, integrators, normal_form, solitons
@@ -403,7 +403,15 @@ top_values = json_values | st.lists(floats) | st.lists(finite) | long_floats()
 float_texts = (st.lists(finite, min_size=1) | long_floats(finite)).map(FloatText)
 
 
+def _chunk_floats(n):
+    """n finite floats of mixed sign and magnitude: exactly n // WRITE_CHUNK
+    full chunks when n is a multiple of it."""
+    return np.geomspace(1e-20, 1e20, n) * (-1.0) ** np.arange(n)
+
+
 @given(st.dictionaries(st.text(), top_values | float_texts, max_size=5))
+@example(payload={"x": FloatText(_chunk_floats(WRITE_CHUNK))})
+@example(payload={"x": FloatText(_chunk_floats(2 * WRITE_CHUNK)), "y": [0.5]})
 @settings(max_examples=150)
 def test_write_json_matches_json_dumps(tmp_path_factory, payload):
     path = tmp_path_factory.mktemp("json") / "out.json"
@@ -415,7 +423,7 @@ def test_write_json_matches_json_dumps(tmp_path_factory, payload):
 
 @pytest.mark.parametrize("values", [[], [1.0, math.nan], [math.inf, -0.0], [5e-324, 1e16]])
 def test_write_json_float_text_matches_json_dumps(tmp_path, values):
-    # a FloatText writes its strings only when every entry is finite
+    # a FloatText writes its chunks only when every entry is finite
     cli._write_json(tmp_path / "out.json", {"x": FloatText(values), "y": values}, "cafe")
     body = {"config_hash": "cafe", "x": values, "y": values}
     assert (tmp_path / "out.json").read_text() == json.dumps(body, indent=2, sort_keys=True) + "\n"
@@ -424,24 +432,41 @@ def test_write_json_float_text_matches_json_dumps(tmp_path, values):
 # tracemalloc peak of cli._write_run on the input below when it wrote with
 # json.dumps of the whole file and one str.format per CSV row: 4613494 B
 # under pytest, after a first call.  The chunked writers, which format x and
-# y once, reach 3109417 B; they must not need more than the old ones did.
+# y once, reach 1324084 B; they must not need more than the old ones did.
 WRITE_RUN_PEAK_BEFORE = 4_613_494
 
 
-def test_write_run_peak_memory(tmp_path):
+def _write_run_peak(outdir, n):
+    """tracemalloc peak of a second ``cli._write_run`` of a random n-site
+    chain state with 21 samples."""
     rng = np.random.default_rng(0)
-    n = 2 * 8192 + 1  # the chain-wide benchmark's ring
     x, y = 0.1 * rng.standard_normal((2, n))
     times = np.linspace(0.0, 20.0, 21)
     diagnostics = {k: rng.standard_normal(21) for k in ("energy", "norm_x", "norm_y")}
-    cfg = cli.ExperimentConfig("simulate-dkg", {}, tmp_path, 0, "cafe")
+    cfg = cli.ExperimentConfig("simulate-dkg", {}, outdir, 0, "cafe")
     summary = {"t_end": 20.0, "energy_initial": 1.0, "energy_drift_abs": 1e-9, "samples": 21}
     cli._write_run(cfg, Trajectory(times, LatticeState(x, y, 20.0), diagnostics), summary)
     traj = Trajectory(times, LatticeState(x, y, 20.0), diagnostics)
     tracemalloc.start()
     try:
         cli._write_run(cfg, traj, summary)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= WRITE_RUN_PEAK_BEFORE
+
+
+def test_write_run_peak_memory(tmp_path):
+    n = 2 * 8192 + 1  # the chain-wide benchmark's ring
+    assert _write_run_peak(tmp_path, n) <= WRITE_RUN_PEAK_BEFORE
+
+
+# Bytes of writer peak per added chain site.  Text held as chunks of
+# WRITE_CHUNK floats takes about 41 B per site (two vectors of about 21 B
+# per float); one str object and list slot per float took about 187 B.
+WRITE_RUN_BYTES_PER_SITE = 64
+
+
+def test_write_run_peak_grows_by_chunk_text(tmp_path):
+    small, large = 2 * 8192 + 1, 2 * 65536 + 1
+    growth = _write_run_peak(tmp_path, large) - _write_run_peak(tmp_path, small)
+    assert growth <= WRITE_RUN_BYTES_PER_SITE * (large - small)
