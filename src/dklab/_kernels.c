@@ -31,14 +31,18 @@
  * (verlet): every site's half-kick and drift, then every site's force and
  * second half-kick.  A ring whose x, y and f outgrow L1, in a call of
  * several steps, advances instead block by block in time tiles of several
- * steps each, so its work stays in L1 (verlet_tiled).
- * Its inner loops, the stencil's site loop and the loops of sup_abs are
+ * steps each, so its work stays in L1 (verlet_tiled).  With AVX-512 or
+ * AVX2, a tile's step is one pass over vectors of 8 or 4 sites, each
+ * half-kicked and drifted in registers ahead of its force, so x, y and f
+ * are stored once per step; the width is chosen once, when the module
+ * loads.  Elsewhere a tile's step makes the two passes.
+ * The inner loops, the stencil's site loop and the loops of sup_abs are
  * written for gcc to vectorise at -O3: |a| (magnitude()) is a chain of
  * selects, and the stencil's site loop is inlined once for each case of
- * the terms numpy skips.  With GCC on x86-64 ELF, the Verlet loops are also
- * built as AVX-512 and AVX2 clones, the stencil, the RK4 step and the
- * complex sup_abs as AVX-512 and FMA clones, and the float sup_abs as an
- * AVX2 clone, that the dynamic loader picks on CPUs that have them
+ * the terms numpy skips.  With GCC on x86-64 ELF, the two-pass Verlet loop
+ * is also built as AVX-512 and AVX2 clones, the stencil, the RK4 step and
+ * the complex sup_abs as AVX-512 and FMA clones, and the float sup_abs as
+ * an AVX2 clone, that the dynamic loader picks on CPUs that have them
  * (target_clones); the library is built without -mavx2, so it runs on any
  * x86-64 CPU.
  *
@@ -73,7 +77,7 @@
 #include <stdint.h>
 #include <string.h>
 
-/* The AVX-512 and AVX2 clones of the Verlet loops, the AVX2 clone of
+/* The AVX-512 and AVX2 clones of the two-pass Verlet loop, the AVX2 clone of
  * largest_abs() and the AVX-512 and FMA clones of the complex loops are
  * picked by the dynamic loader (an ifunc) on the CPU that runs them, so the
  * library suits every x86-64 machine.  The complex loops' second clone is
@@ -83,12 +87,15 @@
  * (the stencil's site loop and the complex sup_abs) only in the AVX-512
  * clones: it divides and takes square roots under magnitude()'s selects
  * only with masked lanes, since either may trap; the FMA clone runs them
- * one site at a time.  Other compilers and platforms build the plain
- * loops. */
+ * one site at a time.  The same builds carry the AVX-512 and AVX2 forms of
+ * the fused tile step (VECTOR_TILES), of which PyInit__kernels keeps the
+ * one this CPU runs.  Other compilers and platforms build the plain loops. */
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__ELF__)
 #define CLONES(...) __attribute__((target_clones(__VA_ARGS__, "default")))
 #endif
-#ifndef CLONES
+#ifdef CLONES
+#define VECTOR_TILES
+#else
 #define CLONES(...)
 #endif
 
@@ -314,43 +321,121 @@ verlet(double *x, double *y, double *f, Py_ssize_t n, double eps, double rho,
 /* Calls of TILED_STEPS steps or more on rings of TILED_FROM sites or more
  * advance in time tiles of up to HALO steps, of equal length.  Each block
  * of BLOCK sites is copied, with HALO ghost sites on either side, into a
- * buffer that stays in L1 (25.5 KiB) and advanced there; after s steps its
+ * buffer that stays in L1 (26 KiB) and advanced there; after s steps its
  * sites s..span-s-1 are those of the whole ring, so after the tile its
  * centre is written back.  The blocks run in ring order and write back as
  * they go: block b takes its left halo from the original end of block b-1,
  * carried forward, and a block whose right halo wraps takes the ring's
  * head, saved before the first block.  Every site sees the operations of
  * the two-pass loop on the same operands, so the result is the same to the
- * bit.
+ * bit.  The AVX-512 and AVX2 clones step a tile in one pass per step
+ * (fused_step_8, fused_step_4), the plain build in two (two_pass_step).
  *
  * The numbers below were measured on a 2-vCPU x86-64 host with AVX-512
  * and a 48 KiB L1d (gcc 12.2), timing interleaved calls of two builds, one
- * that always runs two passes and one that always runs tiles, in calls of
- * about 2e6 site-steps.  Blocks of 512 to 1024 sites with halos of 16 to 64
- * ran within the noise of each other, except 1024 with 16 (8% slower).
- * The two-pass loop runs a site-step in 0.6-0.7 ns at 2049 sites in most
- * runs, where x, y and f just fill L1, and in 1.2-1.6 ns from 2305 sites
- * up, where they outgrow it.  There the tiles win from 3 steps per call
- * (1.0-1.3 ns; 0.6 ns in 100-step calls), while at 2049 sites the two
- * passes win at every call length up to 12 steps and tie at 100.  Each
- * tile copies its blocks in and out, so 1-step calls take 1.7-2.6 ns per
- * site-step in tiles, slower than two passes at every ring size, and
- * 2-step calls 1.2-1.6 ns, faster at 3073 and 16385 sites but not at 2561
- * or 4099. */
+ * that always runs two passes and one that always runs tiles (the 8-wide
+ * fused pass), in calls of about 2e6 site-steps.  Blocks of 512 to 1536
+ * sites with halos of 32 or 64 ran within 5% of each other, halos of 16 5%
+ * slower.  The two-pass loop runs a site-step in 0.5-0.7 ns at 2049 sites,
+ * where x, y and f just fill L1, and in 1.1-1.3 ns from 2305 sites up,
+ * where they outgrow it.  There the tiles win from 2 steps per call
+ * (0.96-1.10 ns; 0.8 ns in 3-step calls, 0.41-0.45 ns in 100-step calls),
+ * while at 2049 sites the two passes win up to 3 steps per call, tie at 12
+ * and lose only at 100 (0.45-0.50 ns against 0.52-0.81).  Each tile copies
+ * its blocks in and out, so 1-step calls take 1.6-2.5 ns per site-step in
+ * tiles, slower than two passes at every ring size. */
 #define BLOCK 1024
 #define HALO 32
 #define TILED_FROM 2304
-#define TILED_STEPS 3
+#define TILED_STEPS 2
+/* A vector of the widest width on either side of a block buffer, which a
+ * tile step's first and last vectors read as neighbours; zeros, as is every
+ * buffer site until a block is copied in. */
+#define PAD 8
 
-static CLONES("avx512f", "avx2") void
+/* One step of a tile: the sites lo..hi-1 of a block buffer take their new
+ * x, y and f, from sites lo-1..hi whose x, y and f are current; sites
+ * outside lo..hi-1 may take values that are thrown away. */
+typedef void tile_step(double *x, double *y, double *f, Py_ssize_t lo, Py_ssize_t hi,
+                       double eps, double rho, double half, double dt);
+
+/* The two passes of verlet over the sites of a tile step. */
+static void
+two_pass_step(double *x, double *y, double *f, Py_ssize_t lo, Py_ssize_t hi, double eps,
+              double rho, double half, double dt)
+{
+    kick_drift(x, y, f, lo - 1, hi + 1, half, dt);
+    force_kick(x, y, f, lo, hi, eps, rho, half);
+}
+
+#ifdef VECTOR_TILES
+/* The half-kick and drift of the W sites from i, into registers xv and yv. */
+#define KICK_DRIFT(xv, yv, i)                                                    \
+    do {                                                                         \
+        vec f_;                                                                  \
+        memcpy(&(xv), x + (i), sizeof(vec));                                     \
+        memcpy(&(yv), y + (i), sizeof(vec));                                     \
+        memcpy(&f_, f + (i), sizeof(vec));                                       \
+        yv += half * f_;                                                         \
+        xv += dt * yv;                                                           \
+    } while (0)
+
+/* A tile step in one pass over vectors of W sites, from the vector that
+ * holds site lo, W-aligned, up to the one that holds site hi-1.  Each
+ * vector is half-kicked and drifted in registers one vector ahead of its
+ * force, whose neighbours x_{j-1} and x_{j+1} are lanes of the vectors on
+ * either side, shuffled in; then x, y and f are stored once.  Lanes are
+ * sites, so each site sees the operations of two_pass_step in the same
+ * order.  iota lists the lanes 0..W-1. */
+#define FUSED_STEP(name, isa, W, ...)                                            \
+    static __attribute__((target(isa))) void                                     \
+    name(double *x, double *y, double *f, Py_ssize_t lo, Py_ssize_t hi,          \
+         double eps, double rho, double half, double dt)                         \
+    {                                                                            \
+        typedef double vec __attribute__((vector_size(8 * W)));                  \
+        typedef int64_t lanes __attribute__((vector_size(8 * W)));               \
+        const lanes iota = {__VA_ARGS__};                                        \
+        vec x_prev, y_prev, x_cur, y_cur, x_next, y_next;                        \
+        Py_ssize_t i = lo / W * W;                                               \
+                                                                                 \
+        KICK_DRIFT(x_prev, y_prev, i - W);                                       \
+        KICK_DRIFT(x_cur, y_cur, i);                                             \
+        for (; i < hi; i += W) {                                                 \
+            KICK_DRIFT(x_next, y_next, i + W);                                   \
+            const vec left = __builtin_shuffle(x_prev, x_cur, iota + (W - 1));   \
+            const vec right = __builtin_shuffle(x_cur, x_next, iota + 1);        \
+            const vec f_cur = ((right + left) * eps - x_cur)                     \
+                              - ((x_cur * x_cur) * x_cur) * rho;                 \
+            y_cur += half * f_cur;                                               \
+            memcpy(x + i, &x_cur, sizeof(vec));                                  \
+            memcpy(y + i, &y_cur, sizeof(vec));                                  \
+            memcpy(f + i, &f_cur, sizeof(vec));                                  \
+            x_prev = x_cur;                                                      \
+            x_cur = x_next;                                                      \
+            y_cur = y_next;                                                      \
+        }                                                                        \
+    }
+
+FUSED_STEP(fused_step_8, "avx512f", 8, 0, 1, 2, 3, 4, 5, 6, 7)
+FUSED_STEP(fused_step_4, "avx2", 4, 0, 1, 2, 3)
+#endif
+
+/* The tile step of this CPU, set when the module loads: the fused pass of
+ * its vector width, or two passes. */
+static tile_step *tile_step_of_cpu = two_pass_step;
+
+static void
 verlet_tiled(double *x, double *y, double *f, Py_ssize_t n, double eps, double rho,
              double dt, long long n_steps)
 {
-    double bx[BLOCK + 2 * HALO], by[BLOCK + 2 * HALO], bf[BLOCK + 2 * HALO];
+    /* site k of a block's span is b[a][PAD + k]; sites past a short block's
+     * span keep what they held, which its last vectors read */
+    _Alignas(64) double b[3][PAD + BLOCK + 2 * HALO + PAD] = {{0.0}};
     double carry[3][HALO], head[3][HALO];
-    double *const ring[3] = {x, y, f}, *const buf[3] = {bx, by, bf};
+    double *const ring[3] = {x, y, f};
     const double half = 0.5 * dt;
     const size_t halo_bytes = HALO * sizeof(double);
+    tile_step *const step = tile_step_of_cpu;
 
     for (long long left = n_steps, steps; left > 0; left -= steps) {
         /* tiles of equal length, so that no short tile trails */
@@ -367,18 +452,18 @@ verlet_tiled(double *x, double *y, double *f, Py_ssize_t n, double eps, double r
             const Py_ssize_t span = len + 2 * HALO;
 
             for (int a = 0; a < 3; a++) {
-                memcpy(buf[a], carry[a], halo_bytes);
-                memcpy(buf[a] + HALO, ring[a] + lo, (len + ahead) * sizeof(double));
-                memcpy(buf[a] + HALO + len + ahead, head[a], (HALO - ahead) * sizeof(double));
+                double *const buf = b[a] + PAD;
+
+                memcpy(buf, carry[a], halo_bytes);
+                memcpy(buf + HALO, ring[a] + lo, (len + ahead) * sizeof(double));
+                memcpy(buf + HALO + len + ahead, head[a], (HALO - ahead) * sizeof(double));
                 /* this block's last HALO sites: the next block's left halo */
-                memcpy(carry[a], buf[a] + len, halo_bytes);
+                memcpy(carry[a], buf + len, halo_bytes);
             }
-            for (Py_ssize_t s = 1; s <= steps; s++) {
-                kick_drift(bx, by, bf, s - 1, span - s + 1, half, dt);
-                force_kick(bx, by, bf, s, span - s, eps, rho, half);
-            }
+            for (Py_ssize_t s = 1; s <= steps; s++)
+                step(b[0] + PAD, b[1] + PAD, b[2] + PAD, s, span - s, eps, rho, half, dt);
             for (int a = 0; a < 3; a++)
-                memcpy(ring[a] + lo, buf[a] + HALO, len * sizeof(double));
+                memcpy(ring[a] + lo, b[a] + PAD + HALO, len * sizeof(double));
         }
     }
 }
@@ -732,5 +817,12 @@ static struct PyModuleDef kernels_module = {
 PyMODINIT_FUNC
 PyInit__kernels(void)
 {
+#ifdef VECTOR_TILES
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        tile_step_of_cpu = fused_step_8;
+    else if (__builtin_cpu_supports("avx2"))
+        tile_step_of_cpu = fused_step_4;
+#endif
     return PyModule_Create(&kernels_module);
 }

@@ -15,11 +15,14 @@ instruction set: with GCC on x86-64 the loops carry AVX-512, AVX2 or FMA
 clones that the dynamic loader selects on the CPU that loads the library, so
 one library per machine type is safe.  The compiler writes a temporary file
 that is then renamed into place, so a process never loads a library another
-process is still writing.  Libraries built from other sources stay in the
-cache and are never pruned: two source trees that share one cache, such as a
-parent and a changed tree timed in turn, would otherwise rebuild each other's
-library inside a timed run.  Nothing is printed: the compiler's output is
-captured.
+process is still writing.  Each load marks its library as used now (its
+modification time) and removes the ``_kernels-*`` libraries of the cache
+that no load has marked for ``STALE_DAYS`` days, ignoring any OSError, as
+other processes may load, build or prune alongside: so an edited source
+leaves no library behind for good, while two source trees that share one
+cache, such as a parent and a changed tree timed in turn, keep each other's
+library and never rebuild it inside a timed run.  Nothing is printed: the
+compiler's output is captured.
 
 When there is no ``cc``, no ``Python.h``, no writable cache, or the library
 does not import, :func:`kernels` returns None and every caller runs its
@@ -44,6 +47,7 @@ from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC", "-lm")
+STALE_DAYS = 7
 
 
 @functools.cache
@@ -160,4 +164,22 @@ def load(cache: Path, include: str):
         loader.exec_module(module)
     except (OSError, ImportError, subprocess.SubprocessError):
         return None
+    prune(cache, lib)
     return module
+
+
+def prune(cache: Path, lib: Path) -> None:
+    """Mark ``lib`` as used now and remove the libraries of ``cache`` that
+    were last marked ``STALE_DAYS`` days ago or more; every OSError is
+    ignored."""
+    import contextlib
+    import time
+
+    now = time.time()
+    with contextlib.suppress(OSError):
+        os.utime(lib, (now, now))
+    with contextlib.suppress(OSError):
+        for old in cache.glob("_kernels-*"):
+            with contextlib.suppress(OSError):
+                if old != lib and old.stat().st_mtime <= now - STALE_DAYS * 86400:
+                    old.unlink()

@@ -445,6 +445,23 @@ def _write_entries(fh, chunks: list[str]) -> None:
     fh.write("\n  ]" if chunks else "[]")
 
 
+def _write_state_line(fh, state: LatticeState) -> None:
+    """Write ``json.dumps(state.to_json_dict()) + "\\n"``, one line of
+    ``states.jsonl``, one :attr:`FloatText.chunks` entry of x or y per write,
+    so no string is held per float.  The text is not kept on the state: the
+    initial state, which the caller holds for the whole run, would hold it
+    too.  A state's entries are finite (:class:`LatticeState` refuses
+    others), so their ``float.__repr__`` is ``json.dumps``'s spelling."""
+    fh.write(f'{{"t": {json.dumps(state.t)}')
+    for key, values in (("x", state.x), ("y", state.y)):
+        sep = f', "{key}": ['
+        for chunk in FloatText(values).chunks:
+            fh.write(sep + chunk.replace("\n", ", "))
+            sep = ", "
+        fh.write("]")
+    fh.write("}\n")
+
+
 def _write_json(path: Path, payload: dict, config_hash: str) -> None:
     """Write ``{"config_hash": config_hash, **payload}`` (string keys) with
     the bytes of ``json.dumps(body, indent=2, sort_keys=True) + "\\n"``, so
@@ -573,7 +590,7 @@ def _cmd_simulate_dkg(cfg: ExperimentConfig) -> int:
             states.write(json.dumps({"config_hash": cfg.config_hash}) + "\n")
 
             def stream(t, state):
-                states.write(json.dumps(state.to_json_dict()) + "\n")
+                _write_state_line(states, state)
                 return {}
 
             observers.append(stream)

@@ -34,8 +34,9 @@ stages) and the blow-up guard run compiled kernels of the extension
 first use (never at import). The Verlet kernel makes two passes over the
 ring per step, as ``_advance_verlet_numpy`` does; a ring of 2304 sites or
 more advances instead block by block in L1 time tiles of up to 32 steps when
-a call runs 3 steps or more. Its loops are ones gcc vectorises, with AVX-512
-and AVX2 clones picked at load time on x86-64. The kernels perform numpy's
+a call runs 2 steps or more. Its loops are ones gcc vectorises, with AVX-512
+and AVX2 clones picked at load time on x86-64, where a tile's step is one
+pass over vectors of 8 or 4 sites. The kernels perform numpy's
 operations in the same order, so they are bit-identical to
 ``_advance_verlet_numpy``, ``_rk4_step_numpy`` and np.max(np.abs(arr)),
 except that the RK4 step's NaNs can differ in sign (no output byte does). The
@@ -177,7 +178,13 @@ def _advance_verlet(
     outgoing x on return.  Runs the compiled ``advance_verlet`` when it is
     available and the arrays are equal-length, contiguous, writeable native
     float64 vectors of 3 or more sites, else ``_advance_verlet_numpy``; both
-    give bit-identical x, y and f.
+    give bit-identical x, y and f.  The compiled loop makes numpy's two
+    passes per step, except on rings of 2304 sites or more in calls of 2
+    steps or more, which it advances in L1 time tiles of blocks of 1024
+    sites; with AVX-512 or AVX2 it steps a tile in one pass over vectors of
+    8 or 4 sites, storing x, y and f once per step.  At 16385 sites a
+    site-step takes about 0.42 ns in 1000-step calls with AVX-512 (0.52 ns
+    in two passes per tile step) and 0.65 ns with AVX2 (0.69 ns).
     """
     kernels = _native.kernels()
     if kernels is None or not kernels.advance_verlet(x, y, f, epsilon, rho, dt, n_steps):

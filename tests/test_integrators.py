@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import numpy as np
@@ -89,17 +90,20 @@ def build_plain(tmp_path, monkeypatch):
 
 def assert_same_verlet(first, second):
     """``advance_verlet`` of two builds gives the same bits, signs of zeros
-    included, on rings in two passes and in time tiles."""
+    included, on rings in two passes and in time tiles (2311 sites: a last
+    block of 263, 7 mod 8), in calls of two tiles of HALO steps, whose
+    centres take in every site of the tiles' cones."""
     rng = np.random.default_rng(12)
-    for n in (1, 2, 3, 511, 514, 1025, kernel_constant("TILED_FROM"), 4099, 16385):
+    steps = 2 * kernel_constant("HALO")
+    for n in (1, 2, 3, 511, 514, 1025, kernel_constant("TILED_FROM"), 2311, 4099, 16385):
         x, y = rng.uniform(-1.0, 1.0, (2, n))
         x[rng.random(n) < 0.05] = -0.0
         y[rng.random(n) < 0.05] = -0.0
         f = integrators._dkg_force(x, 0.1, 0.3)
         runs = [[x.copy(), y.copy(), f.copy()] for _ in range(2)]
         ran = n >= 3  # both builds decline rings under 3 sites, untouched
-        assert first.advance_verlet(*runs[0], 0.1, 0.3, 0.05, 40) is ran
-        assert second.advance_verlet(*runs[1], 0.1, 0.3, 0.05, 40) is ran
+        assert first.advance_verlet(*runs[0], 0.1, 0.3, 0.05, steps) is ran
+        assert second.advance_verlet(*runs[1], 0.1, 0.3, 0.05, steps) is ran
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
             assert np.array_equal(np.signbit(a), np.signbit(b))
@@ -319,23 +323,24 @@ class TestVerletKernel:
     def test_tiled_rings_match_numpy(self):
         # calls of TILED_STEPS steps or more on rings of TILED_FROM sites or
         # more advance in time tiles of up to HALO steps over blocks of BLOCK
-        # sites; every ring size and step count must give numpy's bits,
-        # signs of zeros included
+        # sites, whose steps run over vectors of up to 8 sites; every ring
+        # size and step count must give numpy's bits, signs of zeros included:
+        # last blocks of every length mod 8, and calls of 1 to HALO + 1 steps
+        # (one tile of every length from TILED_STEPS to HALO, then two)
         kernels = _native.kernels()
         if kernels is None:
             pytest.skip("the extension does not build here")
-        tiled_from, tiled_steps, block, halo = map(
-            kernel_constant, ("TILED_FROM", "TILED_STEPS", "BLOCK", "HALO"))
+        tiled_from, block, halo = map(kernel_constant, ("TILED_FROM", "BLOCK", "HALO"))
         sizes = (
             tiled_from - 1, tiled_from, tiled_from + 1,
             3 * block - 1, 3 * block + 1,
             3 * block + halo // 2,  # a last block shorter than the halo
+            *(2 * block + 256 + r for r in range(1, 9)),  # last blocks of 257..264
             16385,
         )
         rng = np.random.default_rng(14)
         for n in sizes:
-            for steps in (0, 1, tiled_steps - 1, tiled_steps, halo - 1, halo, halo + 1,
-                          3 * halo + 5):
+            for steps in (0, *range(1, halo + 2), 3 * halo + 5):
                 x, y = rng.uniform(-1.0, 1.0, (2, n))
                 x[rng.random(n) < 0.05] = -0.0
                 y[rng.random(n) < 0.05] = -0.0
@@ -346,6 +351,37 @@ class TestVerletKernel:
                 for got, want in zip(*runs):
                     assert np.array_equal(got, want), (n, steps)
                     assert np.array_equal(np.signbit(got), np.signbit(want)), (n, steps)
+
+    @pytest.mark.parametrize("n", [129, 2311, 16385])
+    def test_rings_with_special_values_match_numpy(self, n):
+        # +-inf, NaN, subnormals and 1e150 (whose cube overflows) at block
+        # edges, in halos and at random sites, in calls that run two passes
+        # and tiles: the same values as numpy, NaNs at the same sites
+        kernels = _native.kernels()
+        if kernels is None:
+            pytest.skip("the extension does not build here")
+        block, halo = kernel_constant("BLOCK"), kernel_constant("HALO")
+        rng = np.random.default_rng(n)
+        specials = (np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e150, -1e150)
+        for steps in (1, 2, halo + 1, 100):
+            x, y = rng.uniform(-1.0, 1.0, (2, n))
+            edges = [0, 1, halo, block - 1, block, 2 * block + 7, n - halo, n - 1]
+            for sites, v in zip(np.array_split(rng.permutation(edges), len(specials)),
+                                specials):
+                x[sites % n] = v
+            for v in specials:
+                x[rng.integers(0, n, 2)] = v
+                y[rng.integers(0, n, 2)] = v
+            with np.errstate(all="ignore"):
+                f = integrators._dkg_force(x, 0.1, 0.3)
+                runs = [[x.copy(), y.copy(), f.copy()] for _ in range(2)]
+                assert kernels.advance_verlet(*runs[0], 0.1, 0.3, 0.05, steps)
+                integrators._advance_verlet_numpy(*runs[1], 0.1, 0.3, 0.05, steps)
+            for got, want in zip(*runs):
+                nan = np.isnan(want)
+                assert nan.any() and not np.isfinite(want).all()
+                assert np.array_equal(np.isnan(got), nan), steps
+                assert got[~nan].tobytes() == want[~nan].tobytes(), steps
 
     def test_loader_builds_with_cc_and_gives_none_on_unusable_cache(self, tmp_path, monkeypatch):
         needs_cc_and_headers()
@@ -372,6 +408,40 @@ class TestVerletKernel:
         empty = tmp_path / "no-headers"
         empty.mkdir()
         assert _native.load(tmp_path / "hidden", str(empty)) is None
+
+    def test_loader_marks_its_library_and_prunes_stale_ones(self, tmp_path, monkeypatch):
+        # a load marks its library as used and removes the cache's libraries
+        # unused for STALE_DAYS days: the library of an edited source, but
+        # not that of another tree loaded since (a parent and a changed tree
+        # timed in turn), nor a file that is not a library; a stale entry
+        # that cannot be removed is left, silently
+        needs_cc_and_headers()
+        text = _native.SOURCE.read_text()
+        cache = tmp_path / "cache"
+        build_source(tmp_path, monkeypatch, text)
+        (parent,) = cache.iterdir()
+        edited = text + "/* edited */\n"
+        build_source(tmp_path, monkeypatch, edited)
+        (child,) = set(cache.iterdir()) - {parent}
+
+        now, day = time.time(), 86400
+        ages = {parent: _native.STALE_DAYS - 1, child: _native.STALE_DAYS + 1,
+                cache / "_kernels-gone.so": _native.STALE_DAYS,
+                cache / "notes.txt": 10 * _native.STALE_DAYS,
+                cache / "_kernels-dir": 10 * _native.STALE_DAYS}
+        (cache / "_kernels-gone.so").write_bytes(b"")
+        (cache / "notes.txt").write_bytes(b"")
+        (cache / "_kernels-dir").mkdir()
+        for path, days in ages.items():
+            os.utime(path, (now - days * day,) * 2)
+        kept = {parent, child, cache / "notes.txt", cache / "_kernels-dir"}
+        assert build_source(tmp_path, monkeypatch, edited) is not None
+        assert set(cache.iterdir()) == kept
+        assert child.stat().st_mtime > now - 60  # marked as used now
+        # the parent's library, unused for STALE_DAYS days, goes at the next load
+        os.utime(parent, (now - _native.STALE_DAYS * day,) * 2)
+        assert build_source(tmp_path, monkeypatch, edited) is not None
+        assert set(cache.iterdir()) == kept - {parent}
 
     def test_first_build_prints_nothing(self, tmp_path):
         # the build must leave stdout to the caller: a benchmark or a script
@@ -415,22 +485,27 @@ class TestVerletKernel:
         assert_same_verlet(dispatched, build_plain(tmp_path, monkeypatch))
 
     def test_avx2_clone_matches_plain(self, tmp_path, monkeypatch):
-        # an AVX-512 CPU runs the Verlet loops' and the complex loops'
-        # AVX-512 clones, so their AVX2 and FMA clones would run only on
-        # other CPUs; a build whose clone lists name only "avx2" and "fma"
-        # (and "default") makes the loader pick those here
+        # an AVX-512 CPU runs the Verlet loop's and the complex loops'
+        # AVX-512 clones and the 8-wide tile step, so their AVX2 and FMA
+        # clones and the 4-wide step would run only on other CPUs; a build
+        # whose clone lists name only "avx2" and "fma" (and "default"), and
+        # whose module never picks the 8-wide step, runs those here
         needs_cc_and_headers()
         if platform.machine() != "x86_64" or not {"avx2", "fma"} <= cpu_flags():
             pytest.skip("no AVX2 and FMA on this CPU")
         source = _native.SOURCE.read_text()
         clones = 'static CLONES("avx512f", "avx2") void'
-        assert source.count(clones) == 2  # verlet and verlet_tiled
+        assert source.count(clones) == 1  # verlet
         complex_clones = 'CLONES("avx512f", "fma")'
         assert source.count(complex_clones) == 3  # stencil, rk4_step, largest_magnitude
+        # the tile step the module picks when it loads: the 4-wide one here
+        wide_tiles = '__builtin_cpu_supports("avx512f")'
+        assert source.count(wide_tiles) == 1
         plain = build_plain(tmp_path / "plain", monkeypatch)
         avx2 = build_source(tmp_path / "avx2", monkeypatch,
                             source.replace(clones, 'static CLONES("avx2") void')
-                            .replace(complex_clones, 'CLONES("fma")'))
+                            .replace(complex_clones, 'CLONES("fma")')
+                            .replace(wide_tiles, "0"))
         assert_same_verlet(avx2, plain)
         assert_same_complex(avx2, plain)
 

@@ -470,3 +470,41 @@ def test_write_run_peak_grows_by_chunk_text(tmp_path):
     small, large = 2 * 8192 + 1, 2 * 65536 + 1
     growth = _write_run_peak(tmp_path, large) - _write_run_peak(tmp_path, small)
     assert growth <= WRITE_RUN_BYTES_PER_SITE * (large - small)
+
+
+@pytest.mark.parametrize("n", [3, WRITE_CHUNK - 1, 2 * WRITE_CHUNK + 1])
+def test_state_line_matches_json_dumps(tmp_path, n):
+    # a states.jsonl line written chunk by chunk has json.dumps's bytes, on
+    # floats where repr changes form and across chunk boundaries
+    forms = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, -1.5e300, 2.0]
+    x = np.resize(forms, n)
+    state = LatticeState(x, -x[::-1], 0.1 + 0.2)
+    with open(tmp_path / "states.jsonl", "w") as fh:
+        cli._write_state_line(fh, state)
+    assert (tmp_path / "states.jsonl").read_text() == json.dumps(state.to_json_dict()) + "\n"
+
+
+def _state_line_peak(path, n):
+    """tracemalloc peak of writing the ``states.jsonl`` line of a random
+    n-site chain state, after a first line."""
+    rng = np.random.default_rng(0)
+    x, y = 0.1 * rng.standard_normal((2, n))
+    with open(path, "w") as fh:
+        cli._write_state_line(fh, LatticeState(x, y, 20.0))
+        state = LatticeState(x, y, 20.0)
+        tracemalloc.start()
+        try:
+            cli._write_state_line(fh, state)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_state_line_peak_grows_by_chunk_text(tmp_path):
+    # a line of json.dumps(state.to_json_dict()) held a Python float, a list
+    # slot and the encoder's text per entry, about 130 B per added site; the
+    # chunked line holds the state's text, two vectors of about 21 B per float
+    small, large = 2 * 8192 + 1, 2 * 65536 + 1
+    path = tmp_path / "states.jsonl"
+    growth = _state_line_peak(path, large) - _state_line_peak(path, small)
+    assert growth <= WRITE_RUN_BYTES_PER_SITE * (large - small)
