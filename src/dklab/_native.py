@@ -24,9 +24,22 @@ cache, such as a parent and a changed tree timed in turn, keep each other's
 library and never rebuild it inside a timed run.  Nothing is printed: the
 compiler's output is captured.
 
+The entry points and their callers:
+
+- ``advance_verlet``: the chain's Verlet steps (``integrators._advance_verlet``);
+- ``flow``: the dNLS stencil (``dnls_models.rhs``);
+- ``rk4``: the envelope RK4 step (``integrators._rk4_step``);
+- ``ansatz``: the two-harmonic ansatz (``approximation.leading_order``);
+- ``energy_density``: the error energy's summand (``approximation.error_energy``);
+- ``sup_abs``: the blow-up guard's max |entry| (``integrators._check_sane``);
+- ``float_text``: the ``float.__repr__`` text of float vectors and of CSV
+  rows (``lattice_core.FloatText.chunks`` and ``lattice_core.write_csv``,
+  through which the JSON and ``states.jsonl`` writers of ``cli`` take it).
+
 When there is no ``cc``, no ``Python.h``, no writable cache, or the library
 does not import, :func:`kernels` returns None and every caller runs its
-numpy form instead; no option or environment variable selects the path.
+numpy form (``float.__repr__`` for ``float_text``) instead; no option or
+environment variable selects the path.
 
 Real arithmetic in the kernels is numpy's by construction.  Complex
 arithmetic is numpy's only where numpy's CPU dispatch computes |a| as
@@ -36,7 +49,10 @@ factor too), as on x86-64 with FMA.  So :func:`complex_exact` runs
 at import; it compares the complex kernels (``ansatz``, ``sup_abs``, ``flow``
 and ``rk4``) with numpy on a fixed vector.
 When they differ, callers run the numpy forms of ``rhs``, of the RK4 step,
-of the ansatz and of the complex blow-up guard.
+of the ansatz and of the complex blow-up guard.  ``float_text`` is not
+behind the probe: it is integer arithmetic only (the digits of a double's
+bits, in 128-bit integers), so its text is Python's on every CPU, and
+``tests/test_float_text.py`` compares it with ``float.__repr__``.
 """
 
 from __future__ import annotations

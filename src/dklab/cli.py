@@ -52,6 +52,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -435,28 +436,30 @@ def parse_and_validate(argv=None) -> ExperimentConfig:
 # -- output helpers ------------------------------------------------------------
 
 
-def _write_entries(fh, chunks: list[str]) -> None:
-    """Write a top-level JSON list of the newline-joined entries of
-    ``chunks`` (:attr:`FloatText.chunks`), one chunk per write."""
+def _write_entries(fh, chunks: Iterable[str]) -> None:
+    """Write a top-level JSON list whose entries are the chunks of
+    :meth:`FloatText.chunks` with the list's separator, one chunk per
+    write."""
     sep = "[\n    "
     for chunk in chunks:
-        fh.write(sep + chunk.replace("\n", ",\n    "))
+        fh.write(sep + chunk)
         sep = ",\n    "
-    fh.write("\n  ]" if chunks else "[]")
+    fh.write("[]" if sep == "[\n    " else "\n  ]")
 
 
 def _write_state_line(fh, state: LatticeState) -> None:
     """Write ``json.dumps(state.to_json_dict()) + "\\n"``, one line of
-    ``states.jsonl``, one :attr:`FloatText.chunks` entry of x or y per write,
-    so no string is held per float.  The text is not kept on the state: the
-    initial state, which the caller holds for the whole run, would hold it
-    too.  A state's entries are finite (:class:`LatticeState` refuses
-    others), so their ``float.__repr__`` is ``json.dumps``'s spelling."""
+    ``states.jsonl``, one :meth:`FloatText.chunks` chunk of x or y per
+    write, so no string is held per float.  The text is not kept on the
+    state: the initial state, which the caller holds for the whole run,
+    would hold it too.  A state's entries are finite (:class:`LatticeState`
+    refuses others), so their ``float.__repr__`` is ``json.dumps``'s
+    spelling."""
     fh.write(f'{{"t": {json.dumps(state.t)}')
     for key, values in (("x", state.x), ("y", state.y)):
         sep = f', "{key}": ['
-        for chunk in FloatText(values).chunks:
-            fh.write(sep + chunk.replace("\n", ", "))
+        for chunk in FloatText(values).chunks(", "):
+            fh.write(sep + chunk)
             sep = ", "
         fh.write("]")
     fh.write("}\n")
@@ -466,11 +469,14 @@ def _write_json(path: Path, payload: dict, config_hash: str) -> None:
     """Write ``{"config_hash": config_hash, **payload}`` (string keys) with
     the bytes of ``json.dumps(body, indent=2, sort_keys=True) + "\\n"``, so
     floats use shortest round-trip decimals.  A top-level :class:`FloatText`
-    of finite values writes its :attr:`~FloatText.chunks`, ``WRITE_CHUNK``
-    newline-joined entries per write, so each float is formatted once, no
-    string is held per float and the file's text is never held whole.
-    Every other value is ``json.dumps``-ed and re-indented at each newline,
-    all of which are layout, since JSON escapes a newline inside a string."""
+    of finite values writes its :meth:`~FloatText.chunks` joined by the
+    list's own separator, ``WRITE_CHUNK`` entries per write, formatted by the
+    compiled ``float_text`` where the kernels load, so no string is held per
+    float and the file's text is never held whole; the values of one with a
+    NaN or an infinity go through ``json.dumps``, which spells them ``NaN``
+    and ``Infinity``, not as ``repr`` does.  Every other value is
+    ``json.dumps``-ed and re-indented at each newline, all of which are
+    layout, since JSON escapes a newline inside a string."""
     body = {"config_hash": config_hash, **payload}
     with open(path, "w") as fh:
         sep = "{\n  "
@@ -480,7 +486,7 @@ def _write_json(path: Path, payload: dict, config_hash: str) -> None:
             value = body[key]
             if isinstance(value, FloatText):
                 if np.isfinite(value.values).all():
-                    _write_entries(fh, value.chunks)
+                    _write_entries(fh, value.chunks(",\n    "))
                     continue
                 value = value.values.tolist()  # json writes NaN and Infinity, not repr's
             fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))

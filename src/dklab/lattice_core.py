@@ -31,9 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import takewhile
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
+
+from . import _native
 
 __all__ = [
     "FloatText",
@@ -81,11 +83,15 @@ WRITE_CHUNK = 2048
 
 
 class FloatText:
-    """A float vector and its text: ``chunks`` holds the shortest round-trip
-    decimals (``float.__repr__``) of the entries, ``WRITE_CHUNK`` entries per
-    chunk joined by newlines, formatted on first use, so a vector that two
-    files share is formatted once and its text takes one string per chunk,
-    not one per float."""
+    """A float vector and its text: :meth:`chunks` gives the shortest
+    round-trip decimals (``float.__repr__``) of the entries, ``WRITE_CHUNK``
+    entries per chunk joined by a writer's separator, so a writer holds one
+    string per chunk, not one per float.  With the compiled kernels
+    (:func:`dklab._native.kernels`) each chunk is one ``float_text`` call,
+    made as the chunk is written, and no text is kept.  Without them the
+    chunks are formatted with ``float.__repr__`` on first use, newline-joined,
+    and kept, so a vector that two files share is formatted once, and a
+    writer's separator replaces the newlines."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
@@ -93,30 +99,67 @@ class FloatText:
     def __len__(self) -> int:
         return len(self.values)
 
+    def chunks(self, sep: str = "\n") -> Iterator[str]:
+        module = _native.kernels()
+        if module is None:
+            return (chunk.replace("\n", sep) for chunk in self._repr_chunks)
+        v = self.values
+        return (_float_text(module, v[i:i + WRITE_CHUNK], sep)
+                for i in range(0, len(v), WRITE_CHUNK))
+
     @cached_property
-    def chunks(self) -> list[str]:
+    def _repr_chunks(self) -> list[str]:
         v = self.values
         return ["\n".join(map(float.__repr__, v[i:i + WRITE_CHUNK].tolist()))
                 for i in range(0, len(v), WRITE_CHUNK)]
 
 
+def _float_text(module, values: np.ndarray, sep: str) -> str:
+    """``sep.join(map(float.__repr__, values))``, one kernel call; repr's
+    own line where the kernel declines (a compiler without 128-bit
+    integers)."""
+    text = module.float_text(values, sep)
+    return sep.join(map(float.__repr__, values.tolist())) if text is None else text
+
+
 def write_csv(path, header, columns, comments=()) -> None:
     """Write one ``# {c}`` line per comment, the comma-joined header, then
     one line per row: the fields of ``columns`` zipped and comma-joined,
-    ``WRITE_CHUNK`` rows per write.  A column is a :class:`FloatText`, whose
-    chunk each write splits, or a sequence of Python scalars written by
-    ``repr`` one slice per write, so floats use shortest round-trip decimals
-    and no column's text is held one string per float."""
+    ``WRITE_CHUNK`` rows per write, each field its ``repr``, so floats use
+    shortest round-trip decimals.  A column is a :class:`FloatText`, a
+    ``range`` or a sequence of Python scalars.  Where the compiled kernels
+    load and every column is a FloatText or a range, a write's rows are one
+    ``float_text`` call on the columns' slices.  Otherwise each write splits
+    one newline-joined :meth:`~FloatText.chunks` chunk of each FloatText and
+    formats the other columns' slices, so no column's text is held one
+    string per float."""
     columns = list(columns)
     n_rows = min(map(len, columns), default=0)
+    kernel_rows = all(isinstance(c, (FloatText, range)) for c in columns)
+    module = _native.kernels() if kernel_rows else None
+    texts = [c.chunks() if isinstance(c, FloatText) else None for c in columns]
     with open(path, "w", newline="") as fh:
         for c in comments:
             fh.write(f"# {c}\n")
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, WRITE_CHUNK):
-            fields = [c.chunks[start // WRITE_CHUNK].split("\n") if isinstance(c, FloatText)
-                      else map(repr, c[start:start + WRITE_CHUNK]) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+            stop = min(start + WRITE_CHUNK, n_rows)
+            rows = None
+            if module is not None:
+                rows = module.float_text(tuple(_csv_slice(c, start, stop) for c in columns), "\n")
+            if rows is None:
+                fields = [map(repr, c[start:stop]) if t is None else next(t).split("\n")
+                          for c, t in zip(columns, texts)]
+                rows = "\n".join(map(",".join, zip(*fields)))
+            fh.write(rows + "\n")
+
+
+def _csv_slice(column, start: int, stop: int) -> np.ndarray:
+    """Entries start..stop-1 of a FloatText's values, or of a range as int64."""
+    if isinstance(column, FloatText):
+        return column.values[start:stop]
+    part = column[start:stop]
+    return np.arange(part.start, part.stop, part.step, dtype=np.int64)
 
 
 def read_csv(path) -> tuple[dict[str, str], list[list[str]]]:

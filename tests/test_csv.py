@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dklab import approximation, cli, normal_form, solitons
@@ -22,6 +22,7 @@ from dklab.dnls_models import EnvelopeState
 from dklab.integrators import Trajectory
 from dklab.lattice_core import WRITE_CHUNK, FloatText, LatticeState, write_csv
 from dklab.solitons import BreatherReturnReport, SolitonProfile
+
 
 
 def _report():
@@ -184,9 +185,11 @@ columns = st.sampled_from(["floats", "float_text", "ints"])
        st.sampled_from([0, 1, 5, WRITE_CHUNK - 1, WRITE_CHUNK, 2 * WRITE_CHUNK + 1]),
        st.integers(0, 2**32 - 1), st.lists(floats, max_size=4),
        st.lists(st.text(alphabet=st.characters(blacklist_categories=["Cc", "Cs"])), max_size=2))
+@example(kinds=["ints", "float_text", "float_text"], n_rows=2 * WRITE_CHUNK + 1, seed=0,
+         specials=[-0.0, 1e16, 1e-5, math.nan], comments=[])
 @settings(max_examples=60)
-def test_write_csv_matches_per_row_format(tmp_path_factory, kinds, n_rows, seed, specials,
-                                          comments):
+def test_write_csv_matches_per_row_format(tmp_path_factory, text_by, kinds, n_rows, seed,
+                                          specials, comments):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((len(kinds), n_rows)) * 10.0 ** rng.integers(-20, 21, n_rows)
     if n_rows:
@@ -197,6 +200,23 @@ def test_write_csv_matches_per_row_format(tmp_path_factory, kinds, n_rows, seed,
     header = [f"c{i}" for i in range(len(kinds))]
     rows = zip(*(c.values.tolist() if isinstance(c, FloatText) else c for c in cols))
     path = tmp_path_factory.mktemp("csv")
-    write_csv(path / "new.csv", header, cols, comments)
     _per_row(path / "old.csv", header, rows, comments)
-    assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
+    for text_path in ("kernel", "repr"):
+        with text_by(text_path):
+            write_csv(path / "new.csv", header, cols, comments)
+        assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes(), text_path
+
+
+def test_write_csv_of_more_columns_than_one_kernel_call_takes(tmp_path, text_by):
+    # float_text takes up to 8 columns; a file of more (and one of a column
+    # that is neither a FloatText nor a range) is written chunk by chunk
+    values = np.random.default_rng(3).standard_normal((9, WRITE_CHUNK + 3))
+    header = [f"c{i}" for i in range(10)]
+    for cols in ([range(len(values[0])), *map(FloatText, values)],
+                 [FloatText(values[0]), values[1].tolist()]):
+        rows = zip(*(c.values.tolist() if isinstance(c, FloatText) else c for c in cols))
+        _per_row(tmp_path / "old.csv", header[:len(cols)], rows, ["c"])
+        for text_path in ("kernel", "repr"):
+            with text_by(text_path):
+                write_csv(tmp_path / "new.csv", header[:len(cols)], cols, ["c"])
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

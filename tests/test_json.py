@@ -422,17 +422,24 @@ def test_write_json_matches_json_dumps(tmp_path_factory, payload):
 
 
 @pytest.mark.parametrize("values", [[], [1.0, math.nan], [math.inf, -0.0], [5e-324, 1e16]])
-def test_write_json_float_text_matches_json_dumps(tmp_path, values):
-    # a FloatText writes its chunks only when every entry is finite
-    cli._write_json(tmp_path / "out.json", {"x": FloatText(values), "y": values}, "cafe")
-    body = {"config_hash": "cafe", "x": values, "y": values}
-    assert (tmp_path / "out.json").read_text() == json.dumps(body, indent=2, sort_keys=True) + "\n"
+def test_write_json_float_text_matches_json_dumps(tmp_path, text_by, values):
+    # a FloatText writes its chunks only when every entry is finite, by
+    # either path; across a chunk boundary too
+    for path in ("kernel", "repr"):
+        for entries in (values, values + _chunk_floats(WRITE_CHUNK + 1).tolist()):
+            with text_by(path):
+                cli._write_json(tmp_path / "out.json", {"x": FloatText(entries), "y": entries},
+                                "cafe")
+            body = {"config_hash": "cafe", "x": entries, "y": entries}
+            expected = json.dumps(body, indent=2, sort_keys=True) + "\n"
+            assert (tmp_path / "out.json").read_text() == expected, path
 
 
 # tracemalloc peak of cli._write_run on the input below when it wrote with
 # json.dumps of the whole file and one str.format per CSV row: 4613494 B
-# under pytest, after a first call.  The chunked writers, which format x and
-# y once, reach 1324084 B; they must not need more than the old ones did.
+# under pytest, after a first call.  The chunked writers reach 301796 B with
+# the compiled float_text, which keeps no text (1324084 B with repr, which
+# keeps x's and y's); they must not need more than the old ones did.
 WRITE_RUN_PEAK_BEFORE = 4_613_494
 
 
@@ -460,9 +467,11 @@ def test_write_run_peak_memory(tmp_path):
     assert _write_run_peak(tmp_path, n) <= WRITE_RUN_PEAK_BEFORE
 
 
-# Bytes of writer peak per added chain site.  Text held as chunks of
-# WRITE_CHUNK floats takes about 41 B per site (two vectors of about 21 B
-# per float); one str object and list slot per float took about 187 B.
+# Bytes of writer peak per added chain site.  With the compiled float_text
+# no text is held past its write: about 0 B per site.  Text held as chunks
+# of WRITE_CHUNK floats, as repr's path holds it, takes about 41 B per site
+# (two vectors of about 21 B per float); one str object and list slot per
+# float took about 187 B.
 WRITE_RUN_BYTES_PER_SITE = 64
 
 
@@ -473,15 +482,17 @@ def test_write_run_peak_grows_by_chunk_text(tmp_path):
 
 
 @pytest.mark.parametrize("n", [3, WRITE_CHUNK - 1, 2 * WRITE_CHUNK + 1])
-def test_state_line_matches_json_dumps(tmp_path, n):
+def test_state_line_matches_json_dumps(tmp_path, text_by, n):
     # a states.jsonl line written chunk by chunk has json.dumps's bytes, on
     # floats where repr changes form and across chunk boundaries
     forms = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, -1.5e300, 2.0]
     x = np.resize(forms, n)
     state = LatticeState(x, -x[::-1], 0.1 + 0.2)
-    with open(tmp_path / "states.jsonl", "w") as fh:
-        cli._write_state_line(fh, state)
-    assert (tmp_path / "states.jsonl").read_text() == json.dumps(state.to_json_dict()) + "\n"
+    for path in ("kernel", "repr"):
+        with open(tmp_path / "states.jsonl", "w") as fh, text_by(path):
+            cli._write_state_line(fh, state)
+        expected = json.dumps(state.to_json_dict()) + "\n"
+        assert (tmp_path / "states.jsonl").read_text() == expected, path
 
 
 def _state_line_peak(path, n):
@@ -503,7 +514,9 @@ def _state_line_peak(path, n):
 def test_state_line_peak_grows_by_chunk_text(tmp_path):
     # a line of json.dumps(state.to_json_dict()) held a Python float, a list
     # slot and the encoder's text per entry, about 130 B per added site; the
-    # chunked line holds the state's text, two vectors of about 21 B per float
+    # chunked line holds the state's text, two vectors of about 21 B per
+    # float, with repr, and one chunk at a time (about 0 B per site) with the
+    # compiled float_text
     small, large = 2 * 8192 + 1, 2 * 65536 + 1
     path = tmp_path / "states.jsonl"
     growth = _state_line_peak(path, large) - _state_line_peak(path, small)
