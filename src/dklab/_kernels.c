@@ -36,13 +36,16 @@
  *
  * advance_verlet makes two passes over the ring per step, as numpy does
  * (verlet): every site's half-kick and drift, then every site's force and
- * second half-kick.  A ring whose x, y and f outgrow L1, in a call of
+ * second half-kick.  A ring of a few hundred sites or more, in a call of
  * several steps, advances instead block by block in time tiles of several
  * steps each, so its work stays in L1 (verlet_tiled).  With AVX-512 or
  * AVX2, a tile's step is one pass over vectors of 8 or 4 sites, each
  * half-kicked and drifted in registers ahead of its force, so x, y and f
  * are stored once per step; the width is chosen once, when the module
- * loads.  Elsewhere a tile's step makes the two passes.
+ * loads.  Elsewhere a tile's step makes the two passes.  A long call on a
+ * process that may run on two CPUs splits the ring into two ranges and
+ * advances the second on a helper thread, started and joined within the
+ * call, with the GIL released, so no thread outlives a call.
  * The inner loops, the stencil's site loop and the loops of sup_abs are
  * written for gcc to vectorise at -O3: |a| (magnitude()) is a chain of
  * selects, and the stencil's site loop is inlined once for each case of
@@ -90,6 +93,9 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -334,36 +340,56 @@ verlet(double *x, double *y, double *f, Py_ssize_t n, double eps, double rho,
     }
 }
 
-/* Calls of TILED_STEPS steps or more on rings of TILED_FROM sites or more
- * advance in time tiles of up to HALO steps, of equal length.  Each block
- * of BLOCK sites is copied, with HALO ghost sites on either side, into a
- * buffer that stays in L1 (26 KiB) and advanced there; after s steps its
- * sites s..span-s-1 are those of the whole ring, so after the tile its
- * centre is written back.  The blocks run in ring order and write back as
- * they go: block b takes its left halo from the original end of block b-1,
- * carried forward, and a block whose right halo wraps takes the ring's
- * head, saved before the first block.  Every site sees the operations of
- * the two-pass loop on the same operands, so the result is the same to the
+/* Calls of TILED_STEPS steps or more on rings of TILED_FROM sites or more,
+ * and calls of WIDE_STEPS steps or more on rings of WIDE_FROM sites or
+ * more, advance in time tiles of up to HALO steps, of equal length.  Each
+ * block of BLOCK sites is copied, with HALO ghost sites on either side,
+ * into a buffer that stays in L1 (26 KiB) and advanced there; after s
+ * steps its sites s..span-s-1 are those of the whole ring, so after the
+ * tile its centre is written back.  The blocks run in ring order and write
+ * back as they go: block b takes its left halo from the original end of
+ * block b-1, carried forward, and a block whose right halo wraps takes the
+ * ring's head, saved before the first block.  Calls of THREADED_WORK
+ * site-steps or more split each tile's blocks into two ranges of about n/2
+ * sites, each with its own carried halo and head, the second range run by
+ * a helper thread (see tiles).  Every site sees the operations of the
+ * two-pass loop on the same operands, so the result is the same to the
  * bit.  The AVX-512 and AVX2 clones step a tile in one pass per step
  * (fused_step_8, fused_step_4), the plain build in two (two_pass_step).
  *
  * The numbers below were measured on a 2-vCPU x86-64 host with AVX-512
- * and a 48 KiB L1d (gcc 12.2), timing interleaved calls of two builds, one
- * that always runs two passes and one that always runs tiles (the 8-wide
- * fused pass), in calls of about 2e6 site-steps.  Blocks of 512 to 1536
- * sites with halos of 32 or 64 ran within 5% of each other, halos of 16 5%
- * slower.  The two-pass loop runs a site-step in 0.5-0.7 ns at 2049 sites,
- * where x, y and f just fill L1, and in 1.1-1.3 ns from 2305 sites up,
- * where they outgrow it.  There the tiles win from 2 steps per call
- * (0.96-1.10 ns; 0.8 ns in 3-step calls, 0.41-0.45 ns in 100-step calls),
- * while at 2049 sites the two passes win up to 3 steps per call, tie at 12
- * and lose only at 100 (0.45-0.50 ns against 0.52-0.81).  Each tile copies
- * its blocks in and out, so 1-step calls take 1.6-2.5 ns per site-step in
- * tiles, slower than two passes at every ring size. */
+ * and a 48 KiB L1d (gcc 12.2), timing interleaved calls of builds that
+ * always run two passes, one-thread tiles or two-thread tiles (the 8-wide
+ * fused pass).  Blocks of 512 to 1536 sites with halos of 32 or 64 ran
+ * within 5% of each other, halos of 16 5% slower.  The two-pass loop runs
+ * a site-step in 0.6-0.8 ns up to 2049 sites, where x, y and f fit L1, and
+ * in 1.1-1.3 ns from 2305 sites up, where they outgrow it.  There the
+ * tiles win from 2 steps per call (0.96-1.10 ns; 0.8 ns in 3-step calls,
+ * 0.41-0.45 ns in 100-step calls).  On rings of 513 to 2049 sites the
+ * tiles lose up to 4 steps per call (1.0-1.5 ns against 0.8-0.9), tie at
+ * 8 to 12 and win beyond (0.49-0.59 ns against 0.63-0.65 in 100-step
+ * calls).  At 257 sites they win by under 10% in 1000-step calls and at
+ * 129 sites they lose in calls of every length, so such rings keep two
+ * passes.  Each tile copies its blocks in and out, so 1-step calls take
+ * 1.6-2.5 ns per site-step in tiles, slower than two passes at every ring
+ * size.  Starting, handing halos to and joining the
+ * helper costs about 30-40 us per call: it loses below about 2e5
+ * site-steps per call and wins by 25-35% at 2^19 = 524288 (8193 sites in
+ * 64-step calls: 175-209 us against 262-360), except on rings of 513
+ * sites, whose tiles hand over halos most often per site (225-271 us
+ * against 260-263).  16385 sites in 1000-step calls take 4.2-4.4 ms on two
+ * threads, 7.8-8.2 ms on one. */
 #define BLOCK 1024
 #define HALO 32
-#define TILED_FROM 2304
-#define TILED_STEPS 2
+#define TILED_FROM 512
+#define TILED_STEPS 12
+#define WIDE_FROM 2304
+#define WIDE_STEPS 2
+#define THREADED_WORK 524288
+_Static_assert(TILED_FROM >= 2 * HALO, "each of two ranges must span a halo");
+/* pause instructions a range spins through, waiting for the other range,
+ * before it yields its CPU at every further check */
+#define SPINS 4096
 /* A vector of the widest width on either side of a block buffer, which a
  * tile step's first and last vectors read as neighbours; zeros, as is every
  * buffer site until a block is copied in. */
@@ -440,31 +466,92 @@ FUSED_STEP(fused_step_4, "avx2", 4, 0, 1, 2, 3)
  * its vector width, or two passes. */
 static tile_step *tile_step_of_cpu = two_pass_step;
 
+/* The time tiles of one call, advanced as one range of sites or as two,
+ * the second on a helper thread.  Range r is sites bound[r]..bound[r+1]-1,
+ * of HALO sites or more; its halos in tile k are halo[k % 2][r]: the HALO
+ * sites before the range (side 0) and after it (side 1), wrapped, at the
+ * tile's start.  The first tile's are saved before any range runs; after
+ * tile k each range publishes its first and last HALO sites as the halos
+ * of its neighbours in tile k + 1 and then counts the tile in done[r],
+ * which they wait for before they begin tile k + 1.  A range reads the ring
+ * only inside itself, and it publishes the halos of tile k + 2 only after
+ * its neighbours have finished tile k + 1, whose halos share their parity,
+ * so two parities suffice. */
+typedef struct {
+    double *ring[3];
+    Py_ssize_t n, bound[3];
+    int ranges;
+    double eps, rho, dt;
+    long long n_steps;
+    double halo[2][2][2][3][HALO];
+    long long done[2];
+} tiles;
+
+/* The HALO sites of each ring array from site from (-n <= from < 2n),
+ * wrapped, into out. */
 static void
-verlet_tiled(double *x, double *y, double *f, Py_ssize_t n, double eps, double rho,
-             double dt, long long n_steps)
+save_halo(double (*out)[HALO], double *const *ring, Py_ssize_t n, Py_ssize_t from)
+{
+    from = from < 0 ? from + n : from >= n ? from - n : from;
+    const Py_ssize_t first = n - from < HALO ? n - from : HALO;
+
+    for (int a = 0; a < 3; a++) {
+        memcpy(out[a], ring[a] + from, first * sizeof(double));
+        memcpy(out[a] + first, ring[a], (HALO - first) * sizeof(double));
+    }
+}
+
+/* A hint to the CPU that this thread spins. */
+static inline void
+relax(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+/* Wait until every other range has finished tile k. */
+static void
+await_tile(tiles *t, int r, long long k)
+{
+    for (int q = 0; q < t->ranges; q++) {
+        if (q == r)
+            continue;
+        for (unsigned spins = 0; __atomic_load_n(&t->done[q], __ATOMIC_ACQUIRE) < k; spins++) {
+            if (spins < SPINS)
+                relax();
+            else
+                sched_yield();
+        }
+    }
+}
+
+/* Advance range r of t through every tile of the call. */
+static void
+advance_range(tiles *t, int r)
 {
     /* site k of a block's span is b[a][PAD + k]; sites past a short block's
      * span keep what they held, which its last vectors read */
     _Alignas(64) double b[3][PAD + BLOCK + 2 * HALO + PAD] = {{0.0}};
-    double carry[3][HALO], head[3][HALO];
-    double *const ring[3] = {x, y, f};
-    const double half = 0.5 * dt;
+    double carry[3][HALO];
+    double *const *ring = t->ring;
+    const Py_ssize_t start = t->bound[r], end = t->bound[r + 1];
+    const double eps = t->eps, rho = t->rho, dt = t->dt, half = 0.5 * dt;
     const size_t halo_bytes = HALO * sizeof(double);
     tile_step *const step = tile_step_of_cpu;
+    long long k = 0;
 
-    for (long long left = n_steps, steps; left > 0; left -= steps) {
+    for (long long left = t->n_steps, steps; left > 0; left -= steps, k++) {
         /* tiles of equal length, so that no short tile trails */
         steps = left / ((left + HALO - 1) / HALO);
+        double (*const halo)[3][HALO] = t->halo[k % 2][r];
 
-        for (int a = 0; a < 3; a++) {
-            memcpy(head[a], ring[a], halo_bytes);
-            memcpy(carry[a], ring[a] + n - HALO, halo_bytes);
-        }
-        for (Py_ssize_t lo = 0; lo < n; lo += BLOCK) {
-            const Py_ssize_t len = n - lo < BLOCK ? n - lo : BLOCK;
-            /* right-halo sites before the ring's end; the rest wrap */
-            const Py_ssize_t ahead = n - lo - len < HALO ? n - lo - len : HALO;
+        await_tile(t, r, k);
+        memcpy(carry, halo[0], sizeof carry);
+        for (Py_ssize_t lo = start; lo < end; lo += BLOCK) {
+            const Py_ssize_t len = end - lo < BLOCK ? end - lo : BLOCK;
+            /* right-halo sites inside the range; the rest are its halo */
+            const Py_ssize_t ahead = end - lo - len < HALO ? end - lo - len : HALO;
             const Py_ssize_t span = len + 2 * HALO;
 
             for (int a = 0; a < 3; a++) {
@@ -472,7 +559,7 @@ verlet_tiled(double *x, double *y, double *f, Py_ssize_t n, double eps, double r
 
                 memcpy(buf, carry[a], halo_bytes);
                 memcpy(buf + HALO, ring[a] + lo, (len + ahead) * sizeof(double));
-                memcpy(buf + HALO + len + ahead, head[a], (HALO - ahead) * sizeof(double));
+                memcpy(buf + HALO + len + ahead, halo[1][a], (HALO - ahead) * sizeof(double));
                 /* this block's last HALO sites: the next block's left halo */
                 memcpy(carry[a], buf + len, halo_bytes);
             }
@@ -481,7 +568,80 @@ verlet_tiled(double *x, double *y, double *f, Py_ssize_t n, double eps, double r
             for (int a = 0; a < 3; a++)
                 memcpy(ring[a] + lo, b[a] + PAD + HALO, len * sizeof(double));
         }
+        if (left > steps) {
+            const int before = r == 0 ? t->ranges - 1 : r - 1;
+            const int after = r == t->ranges - 1 ? 0 : r + 1;
+
+            save_halo(t->halo[(k + 1) % 2][before][1], ring, t->n, start);
+            save_halo(t->halo[(k + 1) % 2][after][0], ring, t->n, end - HALO);
+            __atomic_store_n(&t->done[r], k + 1, __ATOMIC_RELEASE);
+        }
     }
+}
+
+static void *
+advance_second_range(void *t)
+{
+    advance_range(t, 1);
+    return NULL;
+}
+
+/* Split t into the given number of ranges (1 or 2) and save their halos
+ * for the first tile. */
+static void
+split(tiles *t, int ranges)
+{
+    t->ranges = ranges;
+    t->bound[1] = t->n / ranges;
+    t->bound[ranges] = t->n;
+    for (int r = 0; r < ranges; r++) {
+        t->done[r] = 0;
+        save_halo(t->halo[0][r][0], t->ring, t->n, t->bound[r] - HALO);
+        save_halo(t->halo[0][r][1], t->ring, t->n, t->bound[r + 1]);
+    }
+}
+
+/* Whether this process may run on two CPUs or more; never on systems
+ * without Linux's sched_getaffinity. */
+static int
+two_cpus(void)
+{
+#ifdef __linux__
+    cpu_set_t cpus;
+
+    return sched_getaffinity(0, sizeof cpus, &cpus) == 0 && CPU_COUNT(&cpus) >= 2;
+#else
+    return 0;
+#endif
+}
+
+/* Advance in time tiles, on a helper thread too when threaded is true and
+ * the process may run on two CPUs.  The helper blocks every signal, so that
+ * they reach the caller's thread, and is joined before return; when it
+ * cannot start, the caller's thread advances the whole ring. */
+static void
+verlet_tiled(double *x, double *y, double *f, Py_ssize_t n, double eps, double rho,
+             double dt, long long n_steps, int threaded)
+{
+    tiles t = {.ring = {x, y, f}, .n = n, .eps = eps, .rho = rho, .dt = dt,
+               .n_steps = n_steps};
+    pthread_t helper;
+    sigset_t all, old;
+
+    if (threaded && two_cpus()) {
+        split(&t, 2);
+        sigfillset(&all);
+        pthread_sigmask(SIG_SETMASK, &all, &old);
+        threaded = pthread_create(&helper, NULL, advance_second_range, &t) == 0;
+        pthread_sigmask(SIG_SETMASK, &old, NULL);
+        if (threaded) {
+            advance_range(&t, 0);
+            pthread_join(helper, NULL);
+            return;
+        }
+    }
+    split(&t, 1);
+    advance_range(&t, 0);
 }
 
 static PyObject *
@@ -491,6 +651,7 @@ advance_verlet(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
     Py_buffer v[MAX_ARRAYS];
     double p[3];
     long long n_steps;
+    Py_ssize_t n;
     int got;
 
     if (arity(nargs, 7, "advance_verlet") < 0 || doubles(args + 3, 3, p) < 0)
@@ -501,10 +662,16 @@ advance_verlet(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
     got = vectors(args, 3, formats, v);
     if (got <= 0)
         return declined(got);
-    if (v[0].shape[0] < TILED_FROM || n_steps < TILED_STEPS)
-        verlet(v[0].buf, v[1].buf, v[2].buf, v[0].shape[0], p[0], p[1], p[2], n_steps);
-    else
-        verlet_tiled(v[0].buf, v[1].buf, v[2].buf, v[0].shape[0], p[0], p[1], p[2], n_steps);
+    n = v[0].shape[0];
+    if (n < TILED_FROM || n_steps < (n < WIDE_FROM ? TILED_STEPS : WIDE_STEPS)) {
+        verlet(v[0].buf, v[1].buf, v[2].buf, n, p[0], p[1], p[2], n_steps);
+    }
+    else {
+        Py_BEGIN_ALLOW_THREADS
+        verlet_tiled(v[0].buf, v[1].buf, v[2].buf, n, p[0], p[1], p[2], n_steps,
+                     n_steps >= (THREADED_WORK + n - 1) / n);
+        Py_END_ALLOW_THREADS
+    }
     release(v, 3);
     Py_RETURN_TRUE;
 }

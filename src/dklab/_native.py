@@ -3,11 +3,14 @@
 
 The extension is built on the first call of :func:`kernels`, never at
 import, with the system ``cc -O3 -ffp-contract=off -fno-math-errno -shared
--fPIC`` against the running interpreter's headers and linked with ``-lm``,
-whose ``fma`` rounds once on every CPU, into ``$XDG_CACHE_HOME/dklab/``
-(default ``~/.cache/dklab/``).  ``-fno-math-errno`` changes no result, as
-no ``sqrt`` argument in the kernels is negative, and lets gcc vectorise the
-square root of numpy's complex |a|.
+-fPIC -pthread`` against the running interpreter's headers and linked with
+``-lm``, whose ``fma`` rounds once on every CPU, into
+``$XDG_CACHE_HOME/dklab/`` (default ``~/.cache/dklab/``).  ``-pthread``
+links the POSIX threads that ``advance_verlet`` starts for long calls on
+wide rings, which glibc before 2.34 keeps in ``libpthread``.
+``-fno-math-errno`` changes no result, as no ``sqrt`` argument in the
+kernels is negative, and lets gcc vectorise the square root of numpy's
+complex |a|.
 Its file name carries a hash of the source, the
 flags, the machine type and the interpreter's extension suffix, so a changed
 source or another interpreter builds its own library.  The flags name no
@@ -26,7 +29,9 @@ compiler's output is captured.
 
 The entry points and their callers:
 
-- ``advance_verlet``: the chain's Verlet steps (``integrators._advance_verlet``);
+- ``advance_verlet``: the chain's Verlet steps (``integrators._advance_verlet``),
+  on a helper thread too for calls of 524288 site-steps or more when the
+  process may run on two CPUs; the thread is joined before the call returns;
 - ``flow``: the dNLS stencil (``dnls_models.rhs``);
 - ``rk4``: the envelope RK4 step (``integrators._rk4_step``);
 - ``ansatz``: the two-harmonic ansatz (``approximation.leading_order``);
@@ -62,7 +67,7 @@ import os
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernels.c")
-FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC", "-lm")
+FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC", "-pthread", "-lm")
 STALE_DAYS = 7
 
 

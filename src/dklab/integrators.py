@@ -32,12 +32,18 @@ The chain's step loop ``_advance_verlet``, the envelope step ``_rk4_step``
 stages) and the blow-up guard run compiled kernels of the extension
 ``dklab._kernels``, which :mod:`dklab._native` builds from ``_kernels.c`` on
 first use (never at import). The Verlet kernel makes two passes over the
-ring per step, as ``_advance_verlet_numpy`` does; a ring of 2304 sites or
+ring per step, as ``_advance_verlet_numpy`` does; a ring of 512 sites or
 more advances instead block by block in L1 time tiles of up to 32 steps when
-a call runs 2 steps or more. Its loops are ones gcc vectorises, with AVX-512
-and AVX2 clones picked at load time on x86-64, where a tile's step is one
-pass over vectors of 8 or 4 sites. The kernels perform numpy's
-operations in the same order, so they are bit-identical to
+a call runs 12 steps or more, or 2 steps or more from 2304 sites, whose x, y
+and f outgrow a 48 KiB L1. A call of 524288 site-steps or more splits each
+tile into two halves of the ring and advances the second on a helper thread,
+started and joined within the call, with the GIL released, when the process
+may run on two CPUs (``os.sched_getaffinity``); the helper blocks every
+signal, so they reach the caller's thread. Below that size a thread costs
+more than it saves (about 30-40 us per call). Its loops are ones gcc
+vectorises, with AVX-512 and AVX2 clones picked at load time on x86-64,
+where a tile's step is one pass over vectors of 8 or 4 sites. The kernels
+perform numpy's operations in the same order, so they are bit-identical to
 ``_advance_verlet_numpy``, ``_rk4_step_numpy`` and np.max(np.abs(arr)),
 except that the RK4 step's NaNs can differ in sign (no output byte does). The
 complex ones (the RK4 step, an envelope's guard) run only when
@@ -179,12 +185,16 @@ def _advance_verlet(
     available and the arrays are equal-length, contiguous, writeable native
     float64 vectors of 3 or more sites, else ``_advance_verlet_numpy``; both
     give bit-identical x, y and f.  The compiled loop makes numpy's two
-    passes per step, except on rings of 2304 sites or more in calls of 2
-    steps or more, which it advances in L1 time tiles of blocks of 1024
-    sites; with AVX-512 or AVX2 it steps a tile in one pass over vectors of
-    8 or 4 sites, storing x, y and f once per step.  At 16385 sites a
-    site-step takes about 0.42 ns in 1000-step calls with AVX-512 (0.52 ns
-    in two passes per tile step) and 0.65 ns with AVX2 (0.69 ns).
+    passes per step, except on rings of 512 sites or more in calls of 12
+    steps or more (2 or more from 2304 sites), which it advances in L1 time
+    tiles of blocks of 1024 sites; with AVX-512 or AVX2 it steps a tile in
+    one pass over vectors of 8 or 4 sites, storing x, y and f once per step.
+    Calls of 524288 site-steps or more run half the ring on a helper thread
+    when the process may run on two CPUs.  In 1000-step calls at 16385
+    sites, on a 2-core host, a site-step takes 0.26-0.27 ns on two threads
+    and 0.48 ns on one with AVX-512, 0.37-0.43 ns and 0.68-0.70 ns with
+    AVX2; at 513 to 2049 sites, in 100-step calls on one thread, 0.49-0.59
+    ns, against 0.63-0.65 ns in two passes.
     """
     kernels = _native.kernels()
     if kernels is None or not kernels.advance_verlet(x, y, f, epsilon, rho, dt, n_steps):

@@ -533,8 +533,10 @@ class TestJustifyCommands:
             "justify-extended": ["justify-extended", "--epsilon", "0.1", "--n", "16",
                                  "--tau0", "0.05", "--dt", "5e-3", "--big-a", "0.05"],
             "dkg": ["simulate-dkg", "--n", "64", "--t-end", "2"],
-            # 1201 sites: a wide ring that the compiled two-pass Verlet
-            # loop takes, under the 2304 sites where the time tiles start
+            # 1201 sites in 100-step calls: a mid ring that the compiled
+            # Verlet loop advances in one-thread time tiles (from 512 sites
+            # in calls of 12 steps), under the 524288 site-steps per call
+            # from which the tiles run on two threads
             "dkg-wide": ["simulate-dkg", "--n", "600", "--t-end", "1"],
             "dnls-generalized": ["simulate-dnls", "--model", "generalized", "--n", "16",
                                  "--t-end", "1"],

@@ -1,13 +1,17 @@
 """Verlet and RK4 steppers, trajectory driver, blow-up guard."""
 
 import ast
+import hashlib
+import json
 import os
 import platform
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import sysconfig
+import threading
 import time
 from pathlib import Path
 
@@ -88,14 +92,88 @@ def build_plain(tmp_path, monkeypatch):
     return build_source(tmp_path, monkeypatch, "".join(plain))
 
 
+def threaded_from(steps):
+    """The smallest ring whose calls of ``steps`` steps run on two threads."""
+    return -(-kernel_constant("THREADED_WORK") // steps)
+
+
+# Run as a script: advance a ring of argv[1] sites by argv[2] steps, on the
+# CPUs of this process ("all") or on the first of them ("one"), while a
+# Python thread counts the process's threads; print the count before the
+# poller starts, the most it saw, the count once the poller has stopped (a
+# joined thread may linger until the kernel reaps it), the blocked-signal
+# masks of any thread that appeared during a call and the hashes of the
+# states.  The call runs from the same state up to three times, until the
+# poller has seen a helper, in case a busy host kept the poller off the CPUs
+# for a whole call.
+COUNT_THREADS = """\
+import hashlib, json, os, sys, threading, time
+import numpy as np
+from dklab import _native, integrators
+
+n, steps, limit = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+if limit == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+kernels = _native.kernels()
+x, y = np.random.default_rng(18).uniform(-0.5, 0.5, (2, n))
+start = [x, y, integrators._dkg_force(x, 0.1, 0.3)]
+
+
+def threads():
+    return len(os.listdir("/proc/self/task"))
+
+
+def poll():
+    known.add(str(threading.get_native_id()))
+    while not stop.is_set():
+        tasks = set(os.listdir("/proc/self/task"))
+        seen.append(len(tasks))
+        for tid in tasks - known:  # the helper: its blocked signals
+            try:
+                with open(f"/proc/self/task/{tid}/status") as file:
+                    status = file.read()
+            except OSError:  # gone since the listing
+                continue
+            masks.add(int(status.split("SigBlk:")[1].split()[0], 16))
+
+
+def settle(count):
+    deadline = time.monotonic() + 5.0
+    while threads() != count and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+base, seen, masks, digests, stop = threads(), [], set(), set(), threading.Event()
+poller = threading.Thread(target=poll)
+known = set(os.listdir("/proc/self/task"))
+poller.start()
+while not seen:
+    time.sleep(0.001)
+for _ in range(3):
+    state = [v.copy() for v in start]
+    assert kernels.advance_verlet(*state, 0.1, 0.3, 0.05, steps)
+    digests.add(hashlib.sha256(b"".join(v.tobytes() for v in state)).hexdigest())
+    settle(base + 1)
+    if masks:
+        break
+stop.set()
+poller.join()
+settle(base)
+print(json.dumps({"base": base, "most": max(seen), "after": threads(),
+                  "masks": sorted(masks), "digests": sorted(digests)}))
+"""
+
+
 def assert_same_verlet(first, second):
     """``advance_verlet`` of two builds gives the same bits, signs of zeros
     included, on rings in two passes and in time tiles (2311 sites: a last
-    block of 263, 7 mod 8), in calls of two tiles of HALO steps, whose
-    centres take in every site of the tiles' cones."""
+    block of 263, 7 mod 8), on one thread and on two (from the threshold
+    ring up), in calls of two tiles of HALO steps, whose centres take in
+    every site of the tiles' cones."""
     rng = np.random.default_rng(12)
     steps = 2 * kernel_constant("HALO")
-    for n in (1, 2, 3, 511, 514, 1025, kernel_constant("TILED_FROM"), 2311, 4099, 16385):
+    for n in (1, 2, 3, 511, 514, 1025, kernel_constant("WIDE_FROM"), 2311, 4099,
+              threaded_from(steps), 16385):
         x, y = rng.uniform(-1.0, 1.0, (2, n))
         x[rng.random(n) < 0.05] = -0.0
         y[rng.random(n) < 0.05] = -0.0
@@ -110,6 +188,24 @@ def assert_same_verlet(first, second):
         if not ran:
             for a, b in zip(runs[0], (x, y, f)):
                 assert np.array_equal(a, b)
+
+
+def assert_tiles_match_numpy(kernels, sizes, step_counts, seed):
+    """``advance_verlet`` gives ``_advance_verlet_numpy``'s bits, signs of
+    zeros included, on rings of each size in calls of each step count."""
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        for steps in step_counts:
+            x, y = rng.uniform(-1.0, 1.0, (2, n))
+            x[rng.random(n) < 0.05] = -0.0
+            y[rng.random(n) < 0.05] = -0.0
+            f = integrators._dkg_force(x, 0.1, 0.3)
+            runs = [[x.copy(), y.copy(), f.copy()] for _ in range(2)]
+            assert kernels.advance_verlet(*runs[0], 0.1, 0.3, 0.05, steps)
+            integrators._advance_verlet_numpy(*runs[1], 0.1, 0.3, 0.05, steps)
+            for got, want in zip(*runs):
+                assert np.array_equal(got, want), (n, steps)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (n, steps)
 
 
 def assert_same_complex(first, second):
@@ -322,50 +418,64 @@ class TestVerletKernel:
 
     def test_tiled_rings_match_numpy(self):
         # calls of TILED_STEPS steps or more on rings of TILED_FROM sites or
-        # more advance in time tiles of up to HALO steps over blocks of BLOCK
+        # more, and of WIDE_STEPS or more on rings of WIDE_FROM or more,
+        # advance in time tiles of up to HALO steps over blocks of BLOCK
         # sites, whose steps run over vectors of up to 8 sites; every ring
         # size and step count must give numpy's bits, signs of zeros included:
         # last blocks of every length mod 8, and calls of 1 to HALO + 1 steps
-        # (one tile of every length from TILED_STEPS to HALO, then two)
+        # (one tile of every length up to HALO, then two)
         kernels = _native.kernels()
         if kernels is None:
             pytest.skip("the extension does not build here")
-        tiled_from, block, halo = map(kernel_constant, ("TILED_FROM", "BLOCK", "HALO"))
+        tiled_from, wide_from, block, halo = map(
+            kernel_constant, ("TILED_FROM", "WIDE_FROM", "BLOCK", "HALO"))
         sizes = (
             tiled_from - 1, tiled_from, tiled_from + 1,
+            wide_from - 1, wide_from, wide_from + 1,
             3 * block - 1, 3 * block + 1,
             3 * block + halo // 2,  # a last block shorter than the halo
             *(2 * block + 256 + r for r in range(1, 9)),  # last blocks of 257..264
-            16385,
         )
-        rng = np.random.default_rng(14)
-        for n in sizes:
-            for steps in (0, *range(1, halo + 2), 3 * halo + 5):
-                x, y = rng.uniform(-1.0, 1.0, (2, n))
-                x[rng.random(n) < 0.05] = -0.0
-                y[rng.random(n) < 0.05] = -0.0
-                f = integrators._dkg_force(x, 0.1, 0.3)
-                runs = [[x.copy(), y.copy(), f.copy()] for _ in range(2)]
-                assert kernels.advance_verlet(*runs[0], 0.1, 0.3, 0.05, steps)
-                integrators._advance_verlet_numpy(*runs[1], 0.1, 0.3, 0.05, steps)
-                for got, want in zip(*runs):
-                    assert np.array_equal(got, want), (n, steps)
-                    assert np.array_equal(np.signbit(got), np.signbit(want)), (n, steps)
+        assert_tiles_match_numpy(kernels, sizes, (0, *range(1, halo + 2), 3 * halo + 5), 14)
+
+    def test_threaded_rings_match_numpy(self):
+        # calls of THREADED_WORK site-steps or more split each tile's blocks
+        # into two ranges, the second advanced by a helper thread; the rings
+        # either side of the threshold at 3 HALO + 5 steps, 16385 sites in
+        # calls either side of it (32 steps and up run on two threads), and
+        # rings whose ranges end in a block shorter than the halo
+        kernels = _native.kernels()
+        if kernels is None:
+            pytest.skip("the extension does not build here")
+        block, halo = kernel_constant("BLOCK"), kernel_constant("HALO")
+        steps = 3 * halo + 5
+        edge = threaded_from(steps)
+        # the rule is on sites x steps, so at 16385 sites it falls among 2 to
+        # HALO + 1 steps
+        assert 1 < threaded_from(16385) <= halo + 1
+        assert_tiles_match_numpy(kernels, (edge - 1, edge, edge + 1), (steps,), 15)
+        assert_tiles_match_numpy(kernels, (16385,), (*range(1, halo + 2), steps), 16)
+        short = 8 * block + halo // 2  # range length: 8 blocks and 16 sites
+        assert_tiles_match_numpy(kernels, (2 * short, 2 * short + 1), (halo, steps), 17)
 
     @pytest.mark.parametrize("n", [129, 2311, 16385])
     def test_rings_with_special_values_match_numpy(self, n):
         # +-inf, NaN, subnormals and 1e150 (whose cube overflows) at block
-        # edges, in halos and at random sites, in calls that run two passes
-        # and tiles: the same values as numpy, NaNs at the same sites
+        # edges, in halos, at the halo sites of the two ranges of a threaded
+        # call and at random sites, in calls that run two passes and tiles,
+        # on one thread and on two (16385 sites from 32 steps): the same
+        # values as numpy, NaNs at the same sites
         kernels = _native.kernels()
         if kernels is None:
             pytest.skip("the extension does not build here")
         block, halo = kernel_constant("BLOCK"), kernel_constant("HALO")
         rng = np.random.default_rng(n)
         specials = (np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e150, -1e150)
+        mid = n // 2
         for steps in (1, 2, halo + 1, 100):
             x, y = rng.uniform(-1.0, 1.0, (2, n))
-            edges = [0, 1, halo, block - 1, block, 2 * block + 7, n - halo, n - 1]
+            edges = [0, 1, halo, block - 1, block, 2 * block + 7, n - halo, n - 1,
+                     mid - halo, mid - 1, mid, mid + halo - 1]
             for sites, v in zip(np.array_split(rng.permutation(edges), len(specials)),
                                 specials):
                 x[sites % n] = v
@@ -382,6 +492,78 @@ class TestVerletKernel:
                 assert nan.any() and not np.isfinite(want).all()
                 assert np.array_equal(np.isnan(got), nan), steps
                 assert got[~nan].tobytes() == want[~nan].tobytes(), steps
+
+    def test_concurrent_threaded_calls_match_numpy(self):
+        # threaded calls release the GIL, so four Python threads run them at
+        # once: eight threads on the host's CPUs, each call's ranges waiting
+        # for each other through preemption; every call keeps its own state
+        # and gives numpy's bits
+        kernels = _native.kernels()
+        if kernels is None:
+            pytest.skip("the extension does not build here")
+        n, steps = 16385, 2 * kernel_constant("HALO") + 1
+        assert n * steps >= kernel_constant("THREADED_WORK")
+        rng = np.random.default_rng(19)
+        starts, wants = [], []
+        for _ in range(4):
+            x, y = rng.uniform(-1.0, 1.0, (2, n))
+            starts.append([x, y, integrators._dkg_force(x, 0.1, 0.3)])
+            wants.append([v.copy() for v in starts[-1]])
+            for _ in range(3):
+                integrators._advance_verlet_numpy(*wants[-1], 0.1, 0.3, 0.05, steps)
+        ok = []
+
+        def run(state):
+            for _ in range(3):
+                ok.append(kernels.advance_verlet(*state, 0.1, 0.3, 0.05, steps))
+
+        callers = [threading.Thread(target=run, args=(state,)) for state in starts]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+        assert ok == [True] * 12
+        for got, want in zip(starts, wants):
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_helper_thread_lives_only_during_a_call(self, tmp_path):
+        # a Python thread counts the process's threads while a threaded call
+        # (about 40 ms on two CPUs, 80 ms on one) runs with the GIL
+        # released: the helper appears during the call, which the poller
+        # can see only if the GIL is released, and is gone after it; a
+        # process limited to one CPU never starts it; both give numpy's bits
+        kernels = _native.kernels()
+        if kernels is None:
+            pytest.skip("the extension does not build here")
+        if not Path("/proc/self/task").is_dir() or not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no /proc/self/task or sched_setaffinity here")
+        n, steps = 16385, 10000
+        assert n * steps >= kernel_constant("THREADED_WORK")
+        x, y = np.random.default_rng(18).uniform(-0.5, 0.5, (2, n))
+        f = integrators._dkg_force(x, 0.1, 0.3)
+        integrators._advance_verlet_numpy(x, y, f, 0.1, 0.3, 0.05, steps)
+        want = hashlib.sha256(b"".join(v.tobytes() for v in (x, y, f))).hexdigest()
+        script = tmp_path / "count_threads.py"
+        script.write_text(COUNT_THREADS)
+        src = str(Path(integrators.__file__).resolve().parent.parent)
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        limits = ("one", "all") if len(os.sched_getaffinity(0)) >= 2 else ("one",)
+        for limit in limits:
+            proc = subprocess.run([sys.executable, str(script), str(n), str(steps), limit],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            counts = json.loads(proc.stdout)
+            assert counts["digests"] == [want], limit
+            # the poller, and the helper on two CPUs
+            assert counts["most"] == counts["base"] + 1 + (limit == "all"), (limit, counts)
+            assert counts["after"] == counts["base"], (limit, counts)
+            # the helper blocks SIGINT and SIGALRM, so they reach the caller
+            blocked = 1 << (signal.SIGINT - 1) | 1 << (signal.SIGALRM - 1)
+            assert bool(counts["masks"]) == (limit == "all"), (limit, counts)
+            assert all(mask & blocked == blocked for mask in counts["masks"]), counts
 
     def test_loader_builds_with_cc_and_gives_none_on_unusable_cache(self, tmp_path, monkeypatch):
         needs_cc_and_headers()

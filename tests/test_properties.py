@@ -264,9 +264,11 @@ def _verlet_run(draw, x, y):
 
 @st.composite
 def wide_chains(draw):
-    """Like chains(), on rings wider than chains() draws, up to the widest
-    the compiled two-pass Verlet loop takes in calls of any length: 511..515,
-    1025, 2047 and 2303 sites, with entries of -0.0.
+    """Like chains(), on rings wider than chains() draws, from either side
+    of 512 sites, where the compiled Verlet loop starts its time tiles in
+    calls of 12 steps or more, up to the widest that still takes two passes
+    in shorter calls: 511..515, 1025, 2047 and 2303 sites, with entries of
+    -0.0.
     The entries come from a drawn seed: hypothesis cannot draw a thousand
     floats per example."""
     n = draw(st.sampled_from([511, 512, 513, 514, 515, 1025, 2047, 2303]))
