@@ -158,7 +158,7 @@ class Trajectory:
 
 
 def _dkg_force(x: np.ndarray, epsilon: float, rho: float) -> np.ndarray:
-    return -x - rho * x**3 + epsilon * neighbor_sum(x)
+    return -x - rho * (x * x * x) + epsilon * neighbor_sum(x)
 
 
 def verlet_backend() -> str:

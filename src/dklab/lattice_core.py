@@ -291,12 +291,19 @@ def energy_dkg(state: LatticeState, epsilon: float, rho: float = 1.0) -> float:
 
     with periodic wrap in the coupling term.  Exactly invariant under the
     cyclic shift of (x, y).
+
+    The quartic is summed as (x_j^2)^2, two correctly rounded products, so
+    its bits are the same on every host.  numpy runs ``x**4`` as a general
+    ``pow`` whose loop it picks by CPU (SVML on AVX-512 hosts, libm
+    elsewhere), which rounds differently from host to host and takes about
+    40 times as long as the two products on 16385 sites.
     """
     if not (0.0 <= epsilon < 0.5):
         raise ValueError(f"epsilon={epsilon} must lie in [0, 1/2)")
     x, y = state.x, state.y
-    quad = 0.5 * float(np.sum(y * y + x * x - 2.0 * epsilon * x * np.roll(x, -1)))
-    quart = 0.25 * rho * float(np.sum(x**4))
+    x2 = x * x
+    quad = 0.5 * float(np.sum(y * y + x2 - 2.0 * epsilon * x * np.roll(x, -1)))
+    quart = 0.25 * rho * float(np.sum(x2 * x2))
     return quad + quart
 
 

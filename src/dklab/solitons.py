@@ -124,7 +124,7 @@ class SolitonProfile:
 def stationary_defect(A: np.ndarray, Omega_s: float, nu: float) -> np.ndarray:
     """D_j = -2 Omega_s A_j + 3 nu A_j^3 - A_{j+1} - A_{j-1}."""
     A = np.asarray(A, dtype=float)
-    return -2.0 * Omega_s * A + 3.0 * nu * A**3 - np.roll(A, -1) - np.roll(A, 1)
+    return -2.0 * Omega_s * A + 3.0 * nu * (A * A * A) - np.roll(A, -1) - np.roll(A, 1)
 
 
 def seed_signs(seed_sites: Union[Iterable[int], Mapping[int, float]], N: int) -> dict[int, float]:

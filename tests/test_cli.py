@@ -577,6 +577,45 @@ class TestJustifyCommands:
             assert run_cli(argv + ["--out", str(here / name)], capsys)[0] == 0
         assert read_dir_bytes(hidden) == read_dir_bytes(here)
 
+    def test_outputs_do_not_depend_on_numpy_simd_dispatch(self, tmp_path):
+        # numpy picks some loops by CPU (its AVX-512 pow among them); the
+        # outputs must be the same bytes when those loops are switched off
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        except ImportError:  # numpy 1.x
+            from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        avx512 = [
+            name for name in __cpu_dispatch__
+            if (name == "X86_V4" or name.startswith("AVX512")) and __cpu_features__.get(name)
+        ]
+        if not avx512:
+            pytest.skip("numpy dispatches no AVX-512 loop on this CPU")
+        commands = {
+            "dkg": ["simulate-dkg", "--n", "16", "--t-end", "2", "--stride", "200",
+                    "--save-states"],
+            "justify": ["justify", "--epsilon", "0.1", "--n", "32", "--tau0", "0.1"],
+        }
+        script = (
+            "import sys\n"
+            "from dklab import cli\n"
+            "for name, argv in COMMANDS.items():\n"
+            "    assert cli.main(argv + ['--out', sys.argv[1] + '/' + name]) == 0\n"
+        ).replace("COMMANDS", repr(commands))
+        src = str(Path(dklab.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        trees = {}
+        runs = {"default": {}, "no-avx512": {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}}
+        for label, extra in runs.items():
+            env = dict(os.environ, PYTHONPATH=pythonpath, **extra)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / label)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            trees[label] = read_dir_bytes(tmp_path / label)
+        assert trees["default"] == trees["no-avx512"]
+
     def test_justify_extended_short(self, tmp_path, capsys):
         shared = ["--epsilon", "0.1", "--n", "32", "--tau0", "0.2"]
         code, _, _ = run_cli(

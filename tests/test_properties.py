@@ -17,6 +17,7 @@ fails, and the Verlet loop time-reversible.
 import json
 import math
 import os
+import re
 import tempfile
 from types import SimpleNamespace
 from unittest import mock
@@ -254,11 +255,11 @@ def chains(draw):
     return _verlet_run(draw, x, y)
 
 
-def _verlet_run(draw, x, y):
+def _verlet_run(draw, x, y, steps=st.integers(min_value=0, max_value=200)):
     epsilon = draw(st.floats(min_value=1e-3, max_value=0.49))
     rho = draw(unit)
     dt = draw(st.floats(min_value=1e-3, max_value=0.1)) * draw(st.sampled_from([1.0, -1.0]))
-    n_steps = draw(st.integers(min_value=0, max_value=200))
+    n_steps = draw(steps)
     return x, y, _dkg_force(x, epsilon, rho), epsilon, rho, dt, n_steps
 
 
@@ -272,15 +273,37 @@ def wide_chains(draw):
     The entries come from a drawn seed: hypothesis cannot draw a thousand
     floats per example."""
     n = draw(st.sampled_from([511, 512, 513, 514, 515, 1025, 2047, 2303]))
+    return _verlet_run(draw, *_seeded_ring(draw, n))
+
+
+def _seeded_ring(draw, n):
+    """x and y of n sites in [-1, 1] from a drawn seed, about 5% of them -0.0."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     x, y = rng.uniform(-1.0, 1.0, (2, n))
     x[rng.random(n) < 0.05] = -0.0
     y[rng.random(n) < 0.05] = -0.0
-    return _verlet_run(draw, x, y)
+    return x, y
+
+
+# site-steps per call from which the compiled Verlet tiles run on two threads
+(THREADED_WORK,) = map(int, re.findall(
+    r"^#define THREADED_WORK (\d+)$", _native.SOURCE.read_text(), re.M))
+
+
+@st.composite
+def threaded_chains(draw):
+    """Like wide_chains(), in calls of THREADED_WORK site-steps or more,
+    which the compiled Verlet loop splits between two threads where the
+    process may run on two CPUs: rings of 513, 2305 and 4097 sites, in
+    calls of the fewest such steps up to 3 more."""
+    n = draw(st.sampled_from([513, 2305, 4097]))
+    fewest = -(-THREADED_WORK // n)  # 1023, 228 and 128 steps
+    steps = st.integers(min_value=fewest, max_value=fewest + 3)
+    return _verlet_run(draw, *_seeded_ring(draw, n), steps)
 
 
 @pytest.mark.skipif(verlet_backend() == "numpy", reason="no compiled Verlet kernel here")
-@given(run=chains() | wide_chains())
+@given(run=chains() | wide_chains() | threaded_chains())
 def test_compiled_verlet_matches_numpy(run):
     x, y, f, *params = run
     compiled = [x.copy(), y.copy(), f.copy()]
